@@ -8,9 +8,10 @@ profile solves the coupled PDE system exactly when (k, l) solves
 
 with k, l > 0.  This module provides the two constraint curves l(k) and k(l),
 the scalar reduction f(k) whose zeros are the roots of the system, bracketed
-bisection with Newton polish for the minimal-k root, the ratio reduction used
-in the concave regime, curve slope diagnostics, the analytic Jacobian, and a
-randomized domination check.
+bisection with Newton polish for the minimal-k root (batched over many
+parameter sets at once), the ratio reduction used in the concave regime,
+curve slope diagnostics, the analytic Jacobian, and a randomized domination
+check.
 
 All fractional powers act on strictly positive quantities; they are computed
 as exp(p*log(x)) so that no negative-base power is ever formed.
@@ -22,9 +23,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import bisect
 
-from .errors import (CounterexampleError, DomainError,
+from .errors import (CounterexampleError, CritsysError, DomainError,
                      MonotonicityViolationError, NoSignChangeError,
                      NumericalError)
 from .params import SystemParams
@@ -36,8 +36,14 @@ F_SENTINEL = 1e300
 #: default tolerances: residuals of (F1, F2) and bisection interval width
 RESIDUAL_TOL = 1e-12
 BISECT_XTOL = 1e-10
+#: smallest relative bisection tolerance, 4 machine epsilons
+BISECT_RTOL = 4.0 * np.finfo(float).eps
 
-_SCAN_POINTS = 512
+#: the bracketing scan of find_k0_l0, as fractions of k_sup
+_SCAN = np.geomspace(1e-8, 1.0 - 1e-12, 512)
+#: points per scan of find_k0_l0_batch; bounds each of its (points x 512)
+#: float arrays at 4 MB whatever the number of points
+_BATCH = 1024
 
 
 def _powp(x, p):
@@ -143,15 +149,20 @@ def _require_positive_gamma(params):
                           constraint="gamma > 0", value=params.gamma)
 
 
+def _curve_argument(params, x, name, mu_name, sup):
+    """x as an array, checked to lie in (0, sup]; the curves need gamma > 0."""
+    _require_positive_gamma(params)
+    xarr = np.asarray(x, dtype=float)
+    if np.any(xarr <= 0.0) or np.any(xarr > sup * (1.0 + 1e-14)):
+        raise DomainError(f"{name} outside the bracket (0, "
+                          f"{mu_name}^(-2/(2*-2))]", constraint=name, value=x)
+    return xarr
+
+
 def curve_l_of_k(params: SystemParams, k):
     """The curve l(k) solving F1(k, l(k)) = 0 on 0 < k <= mu1^(-2/(2*-2))."""
-    _require_positive_gamma(params)
+    karr = _curve_argument(params, k, "k", "mu1", k_sup(params))
     a, b, ts = params.alpha, params.beta, params.two_star
-    ksup = k_sup(params)
-    karr = np.asarray(k, dtype=float)
-    if np.any(karr <= 0.0) or np.any(karr > ksup * (1.0 + 1e-14)):
-        raise DomainError("k outside the bracket (0, mu1^(-2/(2*-2))]",
-                          constraint="k", value=k)
     q = 1.0 - params.mu1 * _powp(karr, 0.5 * (ts - 2.0))
     q = np.maximum(q, 0.0)  # endpoint roundoff only
     coef = _powp(ts / (a * params.gamma), 2.0 / b)
@@ -161,13 +172,8 @@ def curve_l_of_k(params: SystemParams, k):
 
 def curve_k_of_l(params: SystemParams, l):
     """The mirror curve k(l) solving F2(k(l), l) = 0 on 0 < l <= mu2^(-2/(2*-2))."""
-    _require_positive_gamma(params)
+    larr = _curve_argument(params, l, "l", "mu2", l_sup(params))
     a, b, ts = params.alpha, params.beta, params.two_star
-    lsup = l_sup(params)
-    larr = np.asarray(l, dtype=float)
-    if np.any(larr <= 0.0) or np.any(larr > lsup * (1.0 + 1e-14)):
-        raise DomainError("l outside the bracket (0, mu2^(-2/(2*-2))]",
-                          constraint="l", value=l)
     q = 1.0 - params.mu2 * _powp(larr, 0.5 * (ts - 2.0))
     q = np.maximum(q, 0.0)
     coef = _powp(ts / (b * params.gamma), 2.0 / a)
@@ -190,33 +196,74 @@ def eval_f(params: SystemParams, k):
     Where the divergent term overflows, a signed sentinel of magnitude
     ``F_SENTINEL`` is returned instead of a non-finite value.
     """
-    _require_positive_gamma(params)
-    a, b, ts = params.alpha, params.beta, params.two_star
-    ksup = k_sup(params)
-    karr = np.asarray(k, dtype=float)
-    if np.any(karr <= 0.0) or np.any(karr > ksup * (1.0 + 1e-14)):
-        raise DomainError("k outside (0, mu1^(-2/(2*-2))]",
-                          constraint="k", value=k)
-    r = 0.5 * (ts - 2.0)
+    karr = _curve_argument(params, k, "k", "mu1", k_sup(params))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        logk = np.log(karr)
-        q = np.maximum(1.0 - params.mu1 * _powp(karr, r), 0.0)
-        logq = np.log(q)
-        lc = math.log(ts / (a * params.gamma))
-        log_t1 = (math.log(params.mu2) + (a / b) * lc
-                  - (ts - 2.0) * a / (2.0 * b) * logk + (a / b) * logq)
-        log_t3 = ((2.0 - b) / b * lc - (ts - 2.0) / b * logk
-                  + (2.0 - b) / b * logq)
-        t2 = b * params.gamma / ts
-        t1 = np.exp(np.minimum(log_t1, 690.0))
-        t3 = np.exp(np.minimum(log_t3, 690.0))
-        out = t1 + t2 - t3
-        # resolve overflow by log comparison of the competing terms
-        huge = (log_t1 > 689.0) | (log_t3 > 689.0)
-        if np.any(huge):
-            sign = np.where(log_t1 >= log_t3, 1.0, -1.0)
-            out = np.where(huge, sign * F_SENTINEL, out)
+        out = _f_core(_f_coefficients([params])[:, 0], karr)
     return out if np.ndim(out) else float(out)
+
+
+def _f_coefficients(points) -> np.ndarray:
+    """The per-point constants of f, shape (9, len(points)), in the order
+    `_f_core` unpacks them.  Each is formed in Python floats with
+    ``math.log``, so that f(k) does not depend on how many points share a
+    call."""
+    rows = []
+    for p in points:
+        a, b, ts = p.alpha, p.beta, p.two_star
+        lc = math.log(ts / (a * p.gamma))
+        rows.append((p.mu1, 0.5 * (ts - 2.0),
+                     math.log(p.mu2) + (a / b) * lc,
+                     (ts - 2.0) * a / (2.0 * b), a / b,
+                     (2.0 - b) / b * lc, (ts - 2.0) / b, (2.0 - b) / b,
+                     b * p.gamma / ts))
+    return np.array(rows, dtype=float).reshape(len(points), 9).T
+
+
+def _f_core(coef, k):
+    """f at k, with ``coef`` from `_f_coefficients` broadcast against k."""
+    mu1, r, c1, e1, ab, c3, e3, cb, t2 = coef
+    logk = np.log(k)
+    q = np.maximum(1.0 - mu1 * np.exp(r * logk), 0.0)
+    logq = np.log(q)
+    log_t1 = c1 - e1 * logk + ab * logq
+    log_t3 = c3 - e3 * logk + cb * logq
+    t1 = np.exp(np.minimum(log_t1, 690.0))
+    t3 = np.exp(np.minimum(log_t3, 690.0))
+    out = t1 + t2 - t3
+    # resolve overflow by log comparison of the competing terms
+    huge = (log_t1 > 689.0) | (log_t3 > 689.0)
+    if huge.any():
+        sign = np.where(log_t1 >= log_t3, 1.0, -1.0)
+        out = np.where(huge, sign * F_SENTINEL, out)
+    return out
+
+
+def bisect(f, a, b, xtol=BISECT_XTOL, rtol=BISECT_RTOL):
+    """Roots of f on the brackets [a, b], all brackets at once.
+
+    f maps an array of abscissae to the array of its values.  f(a) and
+    f(b) must be nonzero and of opposite signs, unless a = b, which
+    returns a.  Each bracket repeats the steps of SciPy's bisect
+    with the same tolerances, so on the same values of f each root is
+    bit-identical to it: halve dm, try xm = xa + dm, keep xm as the new
+    xa when f(xm) f(a) >= 0, and stop at xm when f(xm) = 0 or
+    |dm| < xtol + rtol |xm|.  A bracket still open after 100 steps,
+    SciPy's default cap, returns its xa.
+    """
+    xa = np.asarray(a, dtype=float)
+    dm = np.asarray(b, dtype=float) - xa
+    fa = f(xa)
+    for _ in range(100):
+        dm = dm * 0.5
+        xm = xa + dm
+        fm = f(xm)
+        done = (fm == 0.0) | (abs(dm) < xtol + rtol * abs(xm))
+        # a converged bracket keeps its root as xa and stops moving
+        xa = np.where(done | (fm * fa >= 0.0), xm, xa)
+        dm = np.where(done, 0.0, dm)
+        if done.all():
+            break
+    return xa if xa.ndim else float(xa)
 
 
 def jacobian(params: SystemParams, k: float, l: float) -> np.ndarray:
@@ -266,25 +313,31 @@ def newton_polish(params: SystemParams, k: float, l: float, tol: float,
     return float(k), float(l)
 
 
-def _regime_check_solver(params):
+def _prescan(params):
+    """What is known of a point before its scan: the decoupled pair at
+    gamma = 0, the `DomainError` for a point outside the solver's
+    hypotheses, or, for a point whose root the scan finds, whether it lies
+    in case A (2s < n < 4s, alpha, beta > 2) rather than B."""
+    if params.gamma == 0.0:
+        k0, l0 = k_sup(params), l_sup(params)
+        return CouplingSolution(k=k0, l=l0,
+                                res1=abs(eval_F1(params, k0, l0)),
+                                res2=abs(eval_F2(params, k0, l0)),
+                                method="decoupled")
+    if params.gamma < 0.0:
+        return DomainError("no root finding for gamma < 0 (minimum not "
+                           "attained)", constraint="gamma >= 0",
+                           value=params.gamma)
     a, b = params.alpha, params.beta
     case_b = params.n > 4.0 * params.s and 1.0 < a < 2.0 and 1.0 < b < 2.0
     case_a = (2.0 * params.s < params.n < 4.0 * params.s
               and a > 2.0 and b > 2.0)
     if not (case_a or case_b):
-        raise DomainError(
+        return DomainError(
             "root finding needs n > 4s with 1 < alpha, beta < 2, or "
             "2s < n < 4s with alpha, beta > 2",
             constraint="regime", value=(params.n, params.s, a, b))
-    return case_a
-
-
-def _decoupled_solution(params) -> CouplingSolution:
-    k0, l0 = k_sup(params), l_sup(params)
-    return CouplingSolution(k=k0, l=l0,
-                            res1=abs(eval_F1(params, k0, l0)),
-                            res2=abs(eval_F2(params, k0, l0)),
-                            method="decoupled")
+    return bool(case_a)
 
 
 def find_k0_l0(params: SystemParams, tol: float = RESIDUAL_TOL) -> CouplingSolution:
@@ -293,41 +346,81 @@ def find_k0_l0(params: SystemParams, tol: float = RESIDUAL_TOL) -> CouplingSolut
     Scans a geometric grid over (0, mu1^(-2/(2*-2))), bisects the leftmost
     sign change of f, maps back through the curve l(k), then polishes with
     Newton so that both residuals meet ``tol``.  gamma = 0 returns the
-    decoupled pair without root finding; gamma < 0 is rejected.
+    decoupled pair without root finding; gamma < 0 is rejected.  This is
+    `find_k0_l0_batch` for one point.
     """
-    if params.gamma == 0.0:
-        return _decoupled_solution(params)
-    if params.gamma < 0.0:
-        raise DomainError("no root finding for gamma < 0 (minimum not attained)",
-                          constraint="gamma >= 0", value=params.gamma)
-    case_a = _regime_check_solver(params)
+    (result,) = find_k0_l0_batch([params], tol)
+    if isinstance(result, CritsysError):
+        raise result
+    return result
 
-    ksup = k_sup(params)
-    grid = ksup * np.geomspace(1e-8, 1.0 - 1e-12, _SCAN_POINTS)
-    fv = eval_f(params, grid)
 
-    roots_on_grid = np.flatnonzero(fv == 0.0)
-    cells = np.flatnonzero(np.sign(fv[:-1]) * np.sign(fv[1:]) < 0.0)
-    if roots_on_grid.size and (not cells.size
-                               or roots_on_grid[0] <= cells[0]):
-        k_root = float(grid[roots_on_grid[0]])
-    elif cells.size:
-        i = cells[0]
-        if not case_a and fv[i] > 0.0:
+def find_k0_l0_batch(points, tol: float = RESIDUAL_TOL) -> list:
+    """`find_k0_l0` for every parameter set in ``points``.
+
+    Returns one entry per point, in order: its `CouplingSolution`, or the
+    `CritsysError` that `find_k0_l0` raises for it.  Up to ``_BATCH``
+    points share one evaluation of f over their scans and one bisection of
+    their brackets; each root is the one a call for its point alone returns.
+    """
+    points = list(points)
+    results = []
+    for start in range(0, len(points), _BATCH):
+        results += _solve_batch(points[start:start + _BATCH], tol)
+    return results
+
+
+def _solve_batch(points, tol) -> list:
+    """`find_k0_l0_batch` for at most ``_BATCH`` points."""
+    results = [_prescan(p) for p in points]
+    scan = [i for i, r in enumerate(results) if isinstance(r, bool)]
+    case_a = [results[i] for i in scan]
+    coef = _f_coefficients([points[i] for i in scan])
+    grid = np.array([k_sup(points[i]) for i in scan])[:, None] * _SCAN
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        fv = _f_core(coef[:, :, None], grid)
+    # the first event of each row: f = 0 at a grid point, or a sign change
+    # between a grid point and the next
+    zero = fv == 0.0
+    event = zero.copy()
+    event[:, :-1] |= np.sign(fv[:, :-1]) * np.sign(fv[:, 1:]) < 0.0
+    first = event.argmax(axis=1)
+    crossing = (~zero[np.arange(len(scan)), first]).astype(int)
+    todo = []
+    for row, i in enumerate(scan):
+        j = first[row]
+        if not event[row, j]:
+            results[i] = NoSignChangeError(
+                "scan found no sign change of f; parameters outside the "
+                "solvable hypotheses or grid too coarse",
+                constraint="bracket",
+                value=(float(fv[row, 0]), float(fv[row, -1])))
+        elif crossing[row] and not case_a[row] and fv[row, j] > 0.0:
             # f must rise through its minimal root; a falling first crossing
             # means the true minimal root sits below the scan floor
-            raise NumericalError(
+            results[i] = NumericalError(
                 "leftmost crossing is a sign fall; the minimal root lies "
                 "below the scan floor (coupling too weak for this grid)",
-                constraint="scan-floor", value=float(grid[i]))
-        k_root = bisect(lambda kk: eval_f(params, kk),
-                        grid[i], grid[i + 1], xtol=BISECT_XTOL)
-    else:
-        raise NoSignChangeError(
-            "scan found no sign change of f; parameters outside the "
-            "solvable hypotheses or grid too coarse",
-            constraint="bracket", value=(float(fv[0]), float(fv[-1])))
+                constraint="scan-floor", value=float(grid[row, j]))
+        else:
+            todo.append(row)
 
+    # a zero on the grid is the bracket [k, k], which bisect returns as is
+    cells, sub = first[todo], coef[:, todo]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        k_root = bisect(lambda k: _f_core(sub, k), grid[todo, cells],
+                        grid[todo, cells + crossing[todo]])
+    for row, k in zip(todo, k_root):
+        i = scan[row]
+        try:
+            results[i] = _polish_root(points[i], float(k), tol, case_a[row])
+        except CritsysError as exc:
+            results[i] = exc
+    return results
+
+
+def _polish_root(params, k_root, tol, case_a) -> CouplingSolution:
+    """Map a bracketed root of f to (k, l), polish it and certify it."""
     l_root = curve_l_of_k(params, k_root)
     if l_root <= 0.0:
         raise NumericalError("root collapsed onto the curve endpoint",
@@ -339,6 +432,7 @@ def find_k0_l0(params: SystemParams, tol: float = RESIDUAL_TOL) -> CouplingSolut
     if res1 > tol or res2 > tol:
         raise NumericalError("residual tolerance not met after polish",
                              constraint="residual", value=max(res1, res2))
+    ksup = k_sup(params)
     if not (0.0 < k0 < ksup and 0.0 < l0 < l_sup(params)):
         raise NumericalError("root left the admissible box",
                              constraint="0 < k < k_sup, 0 < l < l_sup",
@@ -449,18 +543,6 @@ def curve_lprime(params: SystemParams, k):
     mid = np.maximum(1.0 / params.mu1 - _powp(k, r), 0.0)
     out = (coef * _powp(k, (2.0 - ts) / b) * _powp(mid, (2.0 - b) / b)
            * ((2.0 - a) / (params.mu1 * b) - _powp(k, r)))
-    return out if np.ndim(out) else float(out)
-
-
-def curve_kprime(params: SystemParams, l):
-    """Analytic slope of the mirror curve k(l)."""
-    a, b, ts = params.alpha, params.beta, params.two_star
-    r = 0.5 * (ts - 2.0)
-    l = np.asarray(l, dtype=float)
-    coef = _powp(ts * params.mu2 / (b * params.gamma), 2.0 / a)
-    mid = np.maximum(1.0 / params.mu2 - _powp(l, r), 0.0)
-    out = (coef * _powp(l, (2.0 - ts) / a) * _powp(mid, (2.0 - a) / a)
-           * ((2.0 - b) / (params.mu2 * a) - _powp(l, r)))
     return out if np.ndim(out) else float(out)
 
 

@@ -3,8 +3,7 @@
 Single results are emitted as JSON (floats at 17 significant digits, full
 resolved parameters embedded for provenance), tables as CSV with a stable
 column order.  Exit codes: 0 success, 1 domain errors, 2 numerical
-failures, 64 usage errors.  Sweep points run on a worker pool capped by the
-CRITSYS_THREADS environment variable; rows are ordered by grid index.
+failures, 64 usage errors.  Sweep rows are ordered by grid index.
 """
 
 from __future__ import annotations
@@ -12,9 +11,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import algebraic, asymptotics, bubbles, regimes, spectral
 from .errors import CritsysError, DomainError
@@ -84,11 +81,25 @@ def _add_param_arguments(sub):
     sub.add_argument("--gamma", type=float)
 
 
+def _load_json_object(path, constraint) -> dict:
+    """The JSON object in a file; a missing, unreadable or malformed file is
+    a `DomainError` naming ``constraint``."""
+    try:
+        with open(path) as fh:
+            obj = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise DomainError(f"cannot read the {constraint} file: {exc}",
+                          constraint=constraint, value=path) from None
+    if not isinstance(obj, dict):
+        raise DomainError(f"the {constraint} file must hold a JSON object",
+                          constraint=constraint, value=path)
+    return obj
+
+
 def _resolve_params(args) -> SystemParams:
     fields = {}
     if args.params:
-        with open(args.params) as fh:
-            fields.update(json.load(fh))
+        fields.update(_load_json_object(args.params, "params"))
     for key in PARAM_KEYS:
         flag = getattr(args, key, None)
         if flag is not None:
@@ -314,36 +325,42 @@ def _cmd_continue(args):
     _emit("\n".join(lines), args.out)
 
 
-def _sweep_point(index, point, tol):
-    row = {"error": ""}
-    try:
-        p = params_from_dict(point)
-    except CritsysError as exc:
-        row.update(point)
-        row["beta"] = ""
-        row["label"] = "INVALID"
+def _sweep_rows(points, tol):
+    """CSV rows of a sweep in grid order.  Every attained point is solved in
+    one batch; a failing point records its error instead of a value."""
+    rows, params = [], []
+    for point in points:
+        try:
+            p = params_from_dict(point)
+        except CritsysError as exc:
+            p, row = None, dict(point, beta="", label="INVALID",
+                                error=f"{exc.code}: {exc}")
+        else:
+            row = dict(_params_payload(p), label=regimes.classify(p).label,
+                       error="")
         row["dimensionless_A"] = ""
-        row["error"] = f"{exc.code}: {exc}"
-        return index, row
-    regime = regimes.classify(p)
-    row.update(_params_payload(p))
-    row["label"] = regime.label
-    row["dimensionless_A"] = ""
-    try:
-        if regime.label == regimes.NEGATIVE_GAMMA:
-            row["dimensionless_A"] = regimes.least_energy(p).dimensionless_A
-        elif regime.label in (regimes.ATTAINED_A, regimes.ATTAINED_B):
-            sol = algebraic.find_k0_l0(p, tol=tol)
-            row["dimensionless_A"] = regimes.least_energy(
-                p, solution=sol).dimensionless_A
-    except CritsysError as exc:
-        row["error"] = f"{exc.code}: {exc}"
-    return index, row
+        rows.append(row)
+        params.append(p)
+
+    attained = (regimes.ATTAINED_A, regimes.ATTAINED_B)
+    solve = [i for i, row in enumerate(rows) if row["label"] in attained]
+    solutions = dict(zip(solve, algebraic.find_k0_l0_batch(
+        [params[i] for i in solve], tol=tol)))
+    for i, (row, p) in enumerate(zip(rows, params)):
+        sol = solutions.get(i)
+        if isinstance(sol, CritsysError):
+            row["error"] = f"{sol.code}: {sol}"
+        elif sol is not None or row["label"] == regimes.NEGATIVE_GAMMA:
+            try:
+                row["dimensionless_A"] = regimes.least_energy(
+                    p, solution=sol).dimensionless_A
+            except CritsysError as exc:
+                row["error"] = f"{exc.code}: {exc}"
+    return rows
 
 
 def _cmd_sweep(args):
-    with open(args.grid) as fh:
-        grid = json.load(fh)
+    grid = _load_json_object(args.grid, "grid")
     axes = grid.get("axes", {})
     fixed = grid.get("fixed", {})
     axis_names = list(axes)
@@ -361,17 +378,8 @@ def _cmd_sweep(args):
         point.update(dict(zip(axis_names, combo)))
         points.append(point)
 
-    workers = os.environ.get("CRITSYS_THREADS")
-    workers = int(workers) if workers else min(8, os.cpu_count() or 1)
-    rows = [None] * len(points)
-    with ThreadPoolExecutor(max_workers=max(workers, 1)) as pool:
-        for index, row in pool.map(lambda ip: _sweep_point(ip[0], ip[1],
-                                                           args.tol),
-                                   enumerate(points)):
-            rows[index] = row
-
     lines = [",".join(SWEEP_COLUMNS)]
-    for row in rows:
+    for row in _sweep_rows(points, args.tol):
         lines.append(",".join(_fmt(row.get(col, "")) for col in SWEEP_COLUMNS))
     _emit("\n".join(lines), args.out)
 

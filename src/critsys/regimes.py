@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebraic import CouplingSolution
-from .errors import DomainError, RegimeMismatchError
+from .errors import DomainError, NumericalError, RegimeMismatchError
 from .params import SystemParams, derived_exponents
 
 NEGATIVE_GAMMA = "NEGATIVE_GAMMA"
@@ -126,9 +126,9 @@ def least_energy(params: SystemParams,
     when the sharp constant is supplied.
     """
     regime = classify(params)
-    d = derived_exponents(params).decay_power
     if regime.label == NEGATIVE_GAMMA:
-        dimless = params.mu1 ** (-d) + params.mu2 ** (-d)
+        e1, e2 = _single_mode_levels(params)
+        dimless = e1 + e2
         attained = False
         coeffs = None
     elif regime.label in (ATTAINED_A, ATTAINED_B):
@@ -160,5 +160,17 @@ def energy_ordering_check(params: SystemParams, k: float, l: float) -> bool:
     if not (k > 0.0 and l > 0.0):
         raise DomainError("k and l must be positive", constraint="k, l > 0",
                           value=(k, l))
+    return k + l > min(_single_mode_levels(params))
+
+
+def _single_mode_levels(params: SystemParams) -> tuple[float, float]:
+    """mu1^(-d) and mu2^(-d), d = (n-2s)/(2s); a level beyond the float
+    range is a `NumericalError`."""
     d = derived_exponents(params).decay_power
-    return k + l > min(params.mu1 ** (-d), params.mu2 ** (-d))
+    try:
+        return params.mu1 ** (-d), params.mu2 ** (-d)
+    except OverflowError:
+        raise NumericalError(
+            "single-mode level mu^(-(n-2s)/2s) overflows a float",
+            constraint="mu^(-(n-2s)/2s) finite",
+            value=(params.mu1, params.mu2)) from None

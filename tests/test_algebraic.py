@@ -1,18 +1,22 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from critsys.algebraic import (CouplingSolution, check_domination,
-                               curve_diagnostics, curve_k_of_l, curve_l_of_k,
-                               curve_lprime, eval_F1, eval_F2, eval_f,
-                               find_k0_l0, finite_difference_lprime, jacobian,
-                               k_sup, l_sup, newton_polish, ratio_f1, ratio_f2,
-                               solve_ratio_reduction)
-from critsys.errors import (CounterexampleError, DomainError,
+from critsys import algebraic
+from critsys.algebraic import (BISECT_RTOL, BISECT_XTOL, CouplingSolution,
+                               bisect, check_domination, curve_diagnostics,
+                               curve_k_of_l, curve_l_of_k, curve_lprime,
+                               eval_F1, eval_F2, eval_f, find_k0_l0,
+                               find_k0_l0_batch, finite_difference_lprime,
+                               jacobian, k_sup, l_sup, newton_polish, ratio_f1,
+                               ratio_f2, solve_ratio_reduction)
+from critsys.errors import (CounterexampleError, CritsysError, DomainError,
                             MonotonicityViolationError, NoSignChangeError)
 from critsys.params import make_params
+from critsys.regimes import gamma_threshold_B
 
 from conftest import concave_regime_params, rng_params, symmetric_threshold
 
@@ -252,6 +256,77 @@ def test_swap_symmetry():
         a, b = find_k0_l0(p), find_k0_l0(q)
         assert b.k == pytest.approx(a.l, rel=1e-9, abs=1e-11)
         assert b.l == pytest.approx(a.k, rel=1e-9, abs=1e-11)
+
+
+# ---------------------------------------------------------------------------
+# bisection and the batched solver
+
+@pytest.mark.parametrize("xtol, rtol", [(BISECT_XTOL, BISECT_RTOL),
+                                        (1e-12, 1e-12)])
+def test_bisect_matches_scipy_bit_for_bit(xtol, rtol):
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(23)
+    # a simple root inside brackets spread over sixteen decades
+    scale = 10.0 ** rng.uniform(-8.0, 8.0, 1000)
+    a = scale * rng.uniform(0.1, 1.0, 1000)
+    b = a + scale * rng.uniform(1e-3, 2.0, 1000)
+    r = a + (b - a) * rng.uniform(0.0, 1.0, 1000)
+    roots = bisect(lambda x: (x - r) * (1.0 + x * x), a, b, xtol, rtol)
+    for i in range(1000):
+        assert roots[i] == optimize.bisect(
+            lambda x: (x - r[i]) * (1.0 + x * x), a[i], b[i],
+            xtol=xtol, rtol=rtol)
+    assert bisect(lambda x: (x - r[0]) * (1.0 + x * x), a[0], b[0],
+                  xtol, rtol) == roots[0]
+    # every sign change of the reduction f on the scan grid of find_k0_l0
+    for _ in range(20):
+        p0 = make_params(gamma=0.0, **rng_params(rng, regime="B"))
+        p = p0.replace_gamma(gamma_threshold_B(p0) * 10.0 ** rng.uniform(-1, 1))
+        grid = k_sup(p) * np.geomspace(1e-8, 1.0 - 1e-12, 512)
+        fv = eval_f(p, grid)
+        cells = np.flatnonzero(np.sign(fv[:-1]) * np.sign(fv[1:]) < 0.0)
+        roots = bisect(lambda k: eval_f(p, k), grid[cells], grid[cells + 1],
+                       xtol, rtol)
+        for c, root in zip(cells, roots):
+            assert root == optimize.bisect(lambda k: eval_f(p, k), grid[c],
+                                           grid[c + 1], xtol=xtol, rtol=rtol)
+
+
+def test_batch_equals_point_by_point_over_the_box(monkeypatch):
+    rng = np.random.default_rng(29)
+    points = []
+    for _ in range(400):
+        n = int(rng.integers(1, 7))
+        s = rng.uniform(0.05, min(0.95, 0.5 * n - 0.01))
+        ts = 2.0 * n / (n - 2.0 * s)
+        alpha = 1.0 + rng.uniform(0.02, 0.98) * (ts - 2.0)
+        mu1, mu2 = 10.0 ** rng.uniform(-3.0, 3.0, 2)
+        sign = rng.choice([-1.0, 0.0, 1.0, 1.0, 1.0, 1.0])
+        points.append(make_params(n, s, alpha, mu1, mu2,
+                                  sign * 10.0 ** rng.uniform(-6.0, 6.0)))
+    whole = find_k0_l0_batch(points)
+    # the same points split into scans of 37 points each
+    monkeypatch.setattr(algebraic, "_BATCH", 37)
+    chunked = find_k0_l0_batch(points)
+    seen = Counter()
+    for p, got, got_chunked in zip(points, whole, chunked):
+        try:
+            want = find_k0_l0(p)
+        except CritsysError as exc:
+            want = exc
+        for result in (got, got_chunked):
+            assert type(result) is type(want)
+            if isinstance(want, CouplingSolution):
+                assert result == want  # k, l, both residuals and the method
+            else:
+                assert (str(result), result.constraint, result.value) \
+                    == (str(want), want.constraint, want.value)
+        seen[want.method if isinstance(want, CouplingSolution)
+             else (want.code, want.constraint)] += 1
+    assert seen["bisection"] and seen["decoupled"]
+    assert seen["no-sign-change", "bracket"]
+    assert seen["numerical", "scan-floor"]
+    assert find_k0_l0_batch([]) == []
 
 
 # ---------------------------------------------------------------------------

@@ -237,18 +237,28 @@ def test_sweep_matches_golden_file(tmp_path, capsys):
     assert out_path.read_text() == (DATA / "golden_sweep.csv").read_text()
 
 
-def test_sweep_is_deterministic_and_thread_capped(tmp_path, capsys):
-    os.environ["CRITSYS_THREADS"] = "1"
-    try:
-        a = tmp_path / "a.csv"
-        b = tmp_path / "b.csv"
-        run_main(capsys, "sweep", "--grid", str(DATA / "sweep_grid.json"),
-                 "--out", str(a))
-        run_main(capsys, "sweep", "--grid", str(DATA / "sweep_grid.json"),
-                 "--out", str(b))
-        assert a.read_text() == b.read_text()
-    finally:
-        del os.environ["CRITSYS_THREADS"]
+def test_sweep_is_deterministic(tmp_path, capsys):
+    a = tmp_path / "a.csv"
+    b = tmp_path / "b.csv"
+    run_main(capsys, "sweep", "--grid", str(DATA / "sweep_grid.json"),
+             "--out", str(a))
+    run_main(capsys, "sweep", "--grid", str(DATA / "sweep_grid.json"),
+             "--out", str(b))
+    assert a.read_text() == b.read_text()
+
+
+def test_sweep_records_overflowing_energy(tmp_path, capsys):
+    # mu1^(-(n-2s)/2s) overflows a float; the row says so, the sweep goes on
+    grid = {"axes": {"gamma": [-1, -0.5]},
+            "fixed": {"n": 5, "s": 0.016, "alpha": 1.005, "mu1": 1.6e-3,
+                      "mu2": 1}}
+    grid_path = tmp_path / "grid.json"
+    grid_path.write_text(json.dumps(grid))
+    code, out, _ = run_main(capsys, "sweep", "--grid", str(grid_path))
+    assert code == 0
+    rows = out.strip().splitlines()[1:]
+    assert len(rows) == 2
+    assert all(",NEGATIVE_GAMMA,,numerical: " in row for row in rows)
 
 
 def test_sweep_records_invalid_points(tmp_path, capsys):
@@ -273,6 +283,38 @@ def test_sweep_cap(tmp_path, capsys):
     code, _, err = run_main(capsys, "sweep", "--grid", str(grid_path))
     assert code == 1
     assert "cap" in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize("content", [None, "{not json", "[1, 2]"],
+                         ids=["missing", "malformed", "not-an-object"])
+@pytest.mark.parametrize("command", ["sweep", "classify"])
+def test_unreadable_input_file_is_domain_error(tmp_path, capsys, command,
+                                               content):
+    path = tmp_path / "input.json"
+    if content is not None:
+        path.write_text(content)
+    flag, constraint = (("--grid", "grid") if command == "sweep"
+                        else ("--params", "params"))
+    code, out, err = run_main(capsys, command, flag, str(path))
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "domain"
+    assert payload["constraint"] == constraint
+    assert payload["value"] == str(path)
+
+
+def test_import_loads_no_scipy():
+    src = str(Path(__file__).parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, critsys.cli; "
+         "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_console_entry_point():

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 
 from critsys.algebraic import CouplingSolution, find_k0_l0
-from critsys.errors import DomainError, RegimeMismatchError
+from critsys.errors import (DomainError, NumericalError,
+                            RegimeMismatchError)
 from critsys.params import make_params
 from critsys.regimes import (ATTAINED_A, ATTAINED_B, LABELS, NEGATIVE_GAMMA,
                              SMALL_GAMMA_CANDIDATE, UNCOVERED, classify,
@@ -184,6 +185,15 @@ def test_least_energy_absolute_value():
     report = least_energy(p, S_s=S)
     # (s/n) * value * S^(n/2s) = (1/6) * 1.25 * 2.7^3
     assert report.absolute_A == pytest.approx(1.25 / 6.0 * 2.7 ** 3, rel=1e-14)
+
+
+def test_single_mode_overflow_is_numerical_error():
+    # d = (n-2s)/(2s) = 155.25 makes 0.0016^(-d) overflow a float
+    p = make_params(5, 0.016, 1.005, 1.6e-3, 1.0, -1.0)
+    with pytest.raises(NumericalError, match="overflows"):
+        least_energy(p)
+    with pytest.raises(NumericalError, match="overflows"):
+        energy_ordering_check(p, 1.0, 1.0)
 
 
 def test_negative_gamma_energy_decreasing_in_mu():
