@@ -9,12 +9,11 @@ from .asymptotics import (ContinuationPath, OverlapQuadrature,
                           PerturbationSolution, continuation_branch,
                           energy_gap_vs_R, overlap_theta, solve_tR_sR)
 from .bubbles import (BubbleSpec, SobolevConstant, bubble_eval,
-                      normalized_bubble, normalized_bubble_field,
-                      sobolev_constant_closed_form, sobolev_constant_spectral)
+                      normalized_bubble_field, sobolev_constant_closed_form,
+                      sobolev_constant_spectral)
 from .errors import CritsysError, DomainError, NumericalError
-from .params import (DerivedExponents, SystemParams, critical_exponent,
-                     derived_exponents, make_params, params_from_dict,
-                     params_from_json)
+from .params import (DerivedExponents, SystemParams, derived_exponents,
+                     make_params, params_from_dict, params_from_json)
 from .regimes import (EnergyReport, Regime, classify, energy_ordering_check,
                       gamma_threshold_A, gamma_threshold_B, least_energy)
 from .spectral import (GridField, ResidualReport, frac_laplacian,

@@ -44,6 +44,8 @@ _SCAN = np.geomspace(1e-8, 1.0 - 1e-12, 512)
 #: points per scan of find_k0_l0_batch; bounds each of its (points x 512)
 #: float arrays at 4 MB whatever the number of points
 _BATCH = 1024
+#: a Newton step that would leave k, l > 0 is halved down to this factor
+_DAMPING_FLOOR = 1e-6
 
 
 def _powp(x, p):
@@ -95,7 +97,7 @@ def k_sup(params: SystemParams) -> float:
 
 def l_sup(params: SystemParams) -> float:
     """Right endpoint mu2^(-2/(2*-2)) of the l-domain of the curve k(l)."""
-    return _powp(params.mu2, -2.0 / (params.two_star - 2.0))
+    return k_sup(params.mirrored())
 
 
 def _check_positive(name, v, allow_zero=False):
@@ -109,37 +111,30 @@ def _check_positive(name, v, allow_zero=False):
 
 def eval_F1(params: SystemParams, k, l):
     """First coupling function; k > 0 (k = 0 allowed when alpha >= 2), l >= 0."""
-    a, b, ts = params.alpha, params.beta, params.two_star
-    karr = np.asarray(k, dtype=float)
-    if params.alpha < 2.0:
-        _check_positive("k", karr)
-    else:
-        _check_positive("k", karr, allow_zero=True)
-    _check_positive("l", l, allow_zero=True)
-    r = 0.5 * (ts - 2.0)
-    larr = np.asarray(l, dtype=float)
-    with np.errstate(divide="ignore"):
-        out = (params.mu1 * _powp(karr, r)
-               + (a * params.gamma / ts) * _powp(karr, 0.5 * (a - 2.0))
-               * _powp(larr, 0.5 * b) - 1.0)
-    return out if np.ndim(out) else float(out)
+    return _coupling(params, "k", params.mu1, params.alpha, k, l,
+                     0.5 * (params.alpha - 2.0), 0.5 * params.beta)
 
 
 def eval_F2(params: SystemParams, k, l):
     """Second coupling function; l > 0 (l = 0 allowed when beta >= 2), k >= 0."""
-    a, b, ts = params.alpha, params.beta, params.two_star
-    larr = np.asarray(l, dtype=float)
-    if params.beta < 2.0:
-        _check_positive("l", larr)
-    else:
-        _check_positive("l", larr, allow_zero=True)
-    _check_positive("k", k, allow_zero=True)
-    r = 0.5 * (ts - 2.0)
+    return _coupling(params, "l", params.mu2, params.beta, k, l,
+                     0.5 * params.alpha, 0.5 * (params.beta - 2.0))
+
+
+def _coupling(params, own, mu, e, k, l, pk, pl):
+    """mu x^((2*-2)/2) + (e gamma/2*) k^pk l^pl - 1 with x the argument named
+    ``own`` (k in F1, l in F2), which is checked first.  The k power
+    multiplies first in both, which keeps each function's rounding."""
+    ts = params.two_star
     karr = np.asarray(k, dtype=float)
+    larr = np.asarray(l, dtype=float)
+    x, other, y = (karr, "l", larr) if own == "k" else (larr, "k", karr)
+    _check_positive(own, x, allow_zero=e >= 2.0)
+    _check_positive(other, y, allow_zero=True)
     with np.errstate(divide="ignore"):
-        out = (params.mu2 * _powp(larr, r)
-               + (b * params.gamma / ts) * _powp(karr, 0.5 * a)
-               * _powp(larr, 0.5 * (b - 2.0)) - 1.0)
+        out = (mu * _powp(x, 0.5 * (ts - 2.0))
+               + (e * params.gamma / ts) * _powp(karr, pk) * _powp(larr, pl)
+               - 1.0)
     return out if np.ndim(out) else float(out)
 
 
@@ -149,11 +144,13 @@ def _require_positive_gamma(params):
                           constraint="gamma > 0", value=params.gamma)
 
 
-def _curve_argument(params, x, name, mu_name, sup):
-    """x as an array, checked to lie in (0, sup]; the curves need gamma > 0."""
+def _curve_argument(params, x, name="k"):
+    """x as an array, checked to lie in (0, k_sup]; the curves need gamma > 0.
+    ``name`` is what the caller calls x: "k", or "l" for mirrored params."""
     _require_positive_gamma(params)
     xarr = np.asarray(x, dtype=float)
-    if np.any(xarr <= 0.0) or np.any(xarr > sup * (1.0 + 1e-14)):
+    if np.any(xarr <= 0.0) or np.any(xarr > k_sup(params) * (1.0 + 1e-14)):
+        mu_name = "mu1" if name == "k" else "mu2"
         raise DomainError(f"{name} outside the bracket (0, "
                           f"{mu_name}^(-2/(2*-2))]", constraint=name, value=x)
     return xarr
@@ -161,23 +158,22 @@ def _curve_argument(params, x, name, mu_name, sup):
 
 def curve_l_of_k(params: SystemParams, k):
     """The curve l(k) solving F1(k, l(k)) = 0 on 0 < k <= mu1^(-2/(2*-2))."""
-    karr = _curve_argument(params, k, "k", "mu1", k_sup(params))
+    return _curve(params, k, "k")
+
+
+def curve_k_of_l(params: SystemParams, l):
+    """The mirror curve k(l) solving F2(k(l), l) = 0 on 0 < l <= mu2^(-2/(2*-2))."""
+    return _curve(params.mirrored(), l, "l")
+
+
+def _curve(params, k, name):
+    """l(k) for ``params``; k is named ``name`` in a domain error."""
+    karr = _curve_argument(params, k, name)
     a, b, ts = params.alpha, params.beta, params.two_star
     q = 1.0 - params.mu1 * _powp(karr, 0.5 * (ts - 2.0))
     q = np.maximum(q, 0.0)  # endpoint roundoff only
     coef = _powp(ts / (a * params.gamma), 2.0 / b)
     out = coef * _powp(karr, (2.0 - a) / b) * _powp(q, 2.0 / b)
-    return out if np.ndim(out) else float(out)
-
-
-def curve_k_of_l(params: SystemParams, l):
-    """The mirror curve k(l) solving F2(k(l), l) = 0 on 0 < l <= mu2^(-2/(2*-2))."""
-    larr = _curve_argument(params, l, "l", "mu2", l_sup(params))
-    a, b, ts = params.alpha, params.beta, params.two_star
-    q = 1.0 - params.mu2 * _powp(larr, 0.5 * (ts - 2.0))
-    q = np.maximum(q, 0.0)
-    coef = _powp(ts / (b * params.gamma), 2.0 / a)
-    out = coef * _powp(larr, (2.0 - b) / a) * _powp(q, 2.0 / a)
     return out if np.ndim(out) else float(out)
 
 
@@ -196,7 +192,7 @@ def eval_f(params: SystemParams, k):
     Where the divergent term overflows, a signed sentinel of magnitude
     ``F_SENTINEL`` is returned instead of a non-finite value.
     """
-    karr = _curve_argument(params, k, "k", "mu1", k_sup(params))
+    karr = _curve_argument(params, k)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         out = _f_core(_f_coefficients([params])[:, 0], karr)
     return out if np.ndim(out) else float(out)
@@ -294,23 +290,31 @@ def gamma_gradient(params: SystemParams, k: float, l: float) -> np.ndarray:
 
 
 def newton_polish(params: SystemParams, k: float, l: float, tol: float,
-                  max_iter: int = 12) -> tuple[float, float]:
-    """Damped Newton on (F1, F2); keeps the iterate strictly positive."""
+                  max_iter: int = 12) -> tuple[bool, float, float]:
+    """Damped Newton on (F1, F2) from k, l > 0; returns ``(converged, k, l)``.
+
+    Converged means both residuals are at most ``tol``; otherwise the loop
+    stopped after ``max_iter`` steps, at a singular Jacobian or at a
+    non-finite iterate.  A step that would leave k, l > 0 is halved."""
+    if k <= 0.0 or l <= 0.0:
+        return False, float(k), float(l)
     for _ in range(max_iter):
         F = np.array([eval_F1(params, k, l), eval_F2(params, k, l)])
-        if np.max(np.abs(F)) <= 0.05 * tol:
-            break
+        if np.max(np.abs(F)) <= tol:
+            return True, float(k), float(l)
         J = jacobian(params, k, l)
         try:
             step = np.linalg.solve(J, F)
         except np.linalg.LinAlgError:
             break
         scale = 1.0
-        while scale > 1e-6 and (k - scale * step[0] <= 0.0
-                                or l - scale * step[1] <= 0.0):
+        while scale > _DAMPING_FLOOR and (k - scale * step[0] <= 0.0
+                                          or l - scale * step[1] <= 0.0):
             scale *= 0.5
         k, l = k - scale * step[0], l - scale * step[1]
-    return float(k), float(l)
+        if not (math.isfinite(k) and math.isfinite(l)):
+            break
+    return False, float(k), float(l)
 
 
 def _prescan(params):
@@ -425,13 +429,8 @@ def _polish_root(params, k_root, tol, case_a) -> CouplingSolution:
     if l_root <= 0.0:
         raise NumericalError("root collapsed onto the curve endpoint",
                              constraint="l > 0", value=l_root)
-    k0, l0 = newton_polish(params, k_root, l_root, tol)
-
-    res1 = abs(eval_F1(params, k0, l0))
-    res2 = abs(eval_F2(params, k0, l0))
-    if res1 > tol or res2 > tol:
-        raise NumericalError("residual tolerance not met after polish",
-                             constraint="residual", value=max(res1, res2))
+    sol = _certified(params, k_root, l_root, tol, "bisection")
+    k0, l0 = sol.k, sol.l
     ksup = k_sup(params)
     if not (0.0 < k0 < ksup and 0.0 < l0 < l_sup(params)):
         raise NumericalError("root left the admissible box",
@@ -446,9 +445,19 @@ def _polish_root(params, k_root, tol, case_a) -> CouplingSolution:
             raise NumericalError(
                 "f is positive left of the returned root; minimal-k "
                 "selection failed", constraint="minimal-k", value=k0)
+    return sol
 
-    return CouplingSolution(k=k0, l=l0, res1=res1, res2=res2,
-                            method="bisection")
+
+def _certified(params, k, l, tol, method) -> CouplingSolution:
+    """Polish (k, l) with Newton to 0.05 tol and certify both residuals
+    within tol."""
+    _, k, l = newton_polish(params, k, l, 0.05 * tol)
+    res1 = abs(eval_F1(params, k, l))
+    res2 = abs(eval_F2(params, k, l))
+    if res1 > tol or res2 > tol:
+        raise NumericalError("residual tolerance not met after polish",
+                             constraint="residual", value=max(res1, res2))
+    return CouplingSolution(k=k, l=l, res1=res1, res2=res2, method=method)
 
 
 # ---------------------------------------------------------------------------
@@ -516,15 +525,8 @@ def solve_ratio_reduction(params: SystemParams,
 
     r = 0.5 * (params.two_star - 2.0)
     y0 = _powp(ratio_f1(params, x0), 1.0 / r)
-    k = x0 * y0 / (1.0 + x0)
-    l = y0 / (1.0 + x0)
-    k, l = newton_polish(params, k, l, tol)
-    res1 = abs(eval_F1(params, k, l))
-    res2 = abs(eval_F2(params, k, l))
-    if res1 > tol or res2 > tol:
-        raise NumericalError("residual tolerance not met after polish",
-                             constraint="residual", value=max(res1, res2))
-    return CouplingSolution(k=k, l=l, res1=res1, res2=res2, method="ratio")
+    return _certified(params, x0 * y0 / (1.0 + x0), y0 / (1.0 + x0), tol,
+                      "ratio")
 
 
 # ---------------------------------------------------------------------------
@@ -561,29 +563,28 @@ def curve_diagnostics(params: SystemParams,
     if not (1.0 < a < 2.0 and 1.0 < b < 2.0):
         raise DomainError("slope diagnostics need 1 < alpha, beta < 2",
                           constraint="alpha, beta", value=(a, b))
+    # the fields of l(k), then those of its mirror k(l)
+    return CurveDiagnostics(
+        *_slope_structure(params, grid_points, "l'(k)"),
+        *_slope_structure(params.mirrored(), grid_points, "k'(l)"))
+
+
+def _slope_structure(params, grid_points, name):
+    """Sign change, inflection point and closed-form minimum of l'(k), and
+    the grid minimum, which must agree with it within 1e-6 relative."""
+    a, b, ts = params.alpha, params.beta, params.two_star
     e = 2.0 / (ts - 2.0)
-    k_sign = _powp((2.0 - a) / (params.mu1 * b), e)
-    k_infl = _powp(2.0 * (2.0 - a) / (params.mu1 * b * (4.0 - ts)), e)
-    lpm = -(_powp(ts * (ts - 2.0) * params.mu1 / (2.0 * a * params.gamma), 2.0 / b)
-            * _powp((2.0 - b) / (2.0 - a), (2.0 - b) / b))
-    l_sign = _powp((2.0 - b) / (params.mu2 * a), e)
-    l_infl = _powp(2.0 * (2.0 - b) / (params.mu2 * a * (4.0 - ts)), e)
-    kpm = -(_powp(ts * (ts - 2.0) * params.mu2 / (2.0 * b * params.gamma), 2.0 / a)
-            * _powp((2.0 - a) / (2.0 - b), (2.0 - a) / a))
-
-    lpm_grid = float(np.min(finite_difference_lprime(params, grid_points)[1]))
-    kpm_grid = float(np.min(_fd_kprime(params, grid_points)[1]))
-    for closed, measured, name in ((lpm, lpm_grid, "l'(k)"),
-                                   (kpm, kpm_grid, "k'(l)")):
-        if abs(measured - closed) > 1e-6 * abs(closed):
-            raise NumericalError(
-                f"grid minimum of {name} disagrees with the closed form",
-                constraint="slope-min", value=(closed, measured))
-
-    return CurveDiagnostics(k_sign_change=k_sign, k_inflection=k_infl,
-                            lprime_min=lpm, lprime_min_grid=lpm_grid,
-                            l_sign_change=l_sign, l_inflection=l_infl,
-                            kprime_min=kpm, kprime_min_grid=kpm_grid)
+    sign = _powp((2.0 - a) / (params.mu1 * b), e)
+    infl = _powp(2.0 * (2.0 - a) / (params.mu1 * b * (4.0 - ts)), e)
+    closed = -(_powp(ts * (ts - 2.0) * params.mu1 / (2.0 * a * params.gamma),
+                     2.0 / b)
+               * _powp((2.0 - b) / (2.0 - a), (2.0 - b) / b))
+    measured = float(np.min(finite_difference_lprime(params, grid_points)[1]))
+    if abs(measured - closed) > 1e-6 * abs(closed):
+        raise NumericalError(
+            f"grid minimum of {name} disagrees with the closed form",
+            constraint="slope-min", value=(closed, measured))
+    return sign, infl, closed, measured
 
 
 def finite_difference_lprime(params: SystemParams, grid_points: int = 10_000):
@@ -592,13 +593,6 @@ def finite_difference_lprime(params: SystemParams, grid_points: int = 10_000):
     ks = np.linspace(ksup * 1e-6, ksup * (1.0 - 1e-6), grid_points)
     lv = curve_l_of_k(params, ks)
     return ks, np.gradient(lv, ks)
-
-
-def _fd_kprime(params: SystemParams, grid_points: int = 10_000):
-    lsup = l_sup(params)
-    ls = np.linspace(lsup * 1e-6, lsup * (1.0 - 1e-6), grid_points)
-    kv = curve_k_of_l(params, ls)
-    return ls, np.gradient(kv, ls)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ bracketing the coupling value where the certificate first fails.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +21,7 @@ from . import algebraic, regimes
 from .bubbles import BubbleSpec, ground_state_amplitude, \
     sobolev_constant_closed_form
 from .errors import DivergenceError, DomainError, QuadratureError
-from .params import SystemParams, derived_exponents
+from .params import SystemParams
 from .spectral import GridField
 
 #: conservative rejection threshold for the overlap ratio
@@ -105,13 +104,7 @@ def _pair_fields(params: SystemParams, R: float,
     def w(center, mu):
         amp = mu ** (-1.0 / (ts - 2.0)) * ground_state_amplitude(
             params, BubbleSpec(quad.eps, center), S)
-        x = base.axis()
-        r2 = np.zeros((quad.N,) * params.n)
-        for d in range(params.n):
-            shape = [1] * params.n
-            shape[d] = quad.N
-            r2 = r2 + ((x - center[d]) ** 2).reshape(shape)
-        return amp * (quad.eps ** 2 + r2) ** (-decay)
+        return amp * (quad.eps ** 2 + base.radius_sq(center)) ** (-decay)
 
     return base.like(w(c1, params.mu1)), base.like(w(c2, params.mu2))
 
@@ -244,16 +237,15 @@ def energy_gap_vs_R(params: SystemParams, R_list,
     if not params.gamma < 0.0:
         raise DomainError("the separation ladder applies to gamma < 0",
                           constraint="gamma < 0", value=params.gamma)
-    dpow = derived_exponents(params).decay_power
-    base_value = params.mu1 ** (-dpow) + params.mu2 ** (-dpow)
+    level1, level2 = regimes._single_mode_levels(params)
     rows = []
     for R in R_list:
         datum = overlap_theta(params, R, quad)
         sol = solve_tR_sR(params, datum.theta, tol=tol)
-        upper = sol.tR * params.mu1 ** (-dpow) + sol.sR * params.mu2 ** (-dpow)
+        upper = sol.tR * level1 + sol.sR * level2
         rows.append(GapRow(R=float(R), theta=datum.theta, tR=sol.tR,
                            sR=sol.sR, upper_bound=upper,
-                           gap=upper - base_value))
+                           gap=upper - (level1 + level2)))
     return rows
 
 
@@ -310,7 +302,8 @@ def continuation_branch(params_base: SystemParams, gamma_max: float,
                 vel = np.zeros(2)
             k_pred, l_pred = k + vel[0] * dgamma, l + vel[1] * dgamma
             p_next = p0.replace_gamma(gamma_next)
-            ok, k_new, l_new = _newton_correct(p_next, k_pred, l_pred, tol)
+            ok, k_new, l_new = algebraic.newton_polish(
+                p_next, k_pred, l_pred, tol, max_iter=25)
             if ok:
                 gamma, k, l = gamma_next, k_new, l_new
                 samples.append(_accept(p_next, gamma, k, l))
@@ -340,29 +333,6 @@ def continuation_branch(params_base: SystemParams, gamma_max: float,
             break
     return ContinuationPath(samples=tuple(samples), gamma1_bracket=bracket,
                             termination=termination)
-
-
-def _newton_correct(params, k, l, tol, max_iter=25):
-    if k <= 0.0 or l <= 0.0:
-        return False, k, l
-    for _ in range(max_iter):
-        F = np.array([algebraic.eval_F1(params, k, l),
-                      algebraic.eval_F2(params, k, l)])
-        if np.max(np.abs(F)) <= tol:
-            return True, float(k), float(l)
-        J = algebraic.jacobian(params, k, l)
-        try:
-            delta = np.linalg.solve(J, F)
-        except np.linalg.LinAlgError:
-            return False, k, l
-        scale = 1.0
-        while scale > 1e-8 and (k - scale * delta[0] <= 0.0
-                                or l - scale * delta[1] <= 0.0):
-            scale *= 0.5
-        k, l = k - scale * delta[0], l - scale * delta[1]
-        if not (math.isfinite(k) and math.isfinite(l)):
-            return False, k, l
-    return False, k, l
 
 
 def _accept(params, gamma, k, l) -> BranchSample:

@@ -72,22 +72,12 @@ def bubble_eval(spec: BubbleSpec, params: SystemParams, x):
     return out if np.ndim(out) else float(out)
 
 
-def _center_r2(field: GridField, center) -> np.ndarray:
-    x = field.axis()
-    r2 = np.zeros((field.N,) * field.n)
-    for d in range(field.n):
-        shape = [1] * field.n
-        shape[d] = field.N
-        r2 = r2 + ((x - center[d]) ** 2).reshape(shape)
-    return r2
-
-
 def bubble_field(spec: BubbleSpec, params: SystemParams, N: int,
                  L: float) -> GridField:
     """Sample the bubble on the grid of [-L, L)^n."""
     field = GridField(params.n, N, L, np.zeros(N ** params.n))
     decay = 0.5 * (params.n - 2.0 * params.s)
-    r2 = _center_r2(field, spec.center)
+    r2 = field.radius_sq(spec.center)
     return field.like(spec.kappa * (spec.epsilon ** 2 + r2) ** (-decay))
 
 
@@ -158,17 +148,6 @@ def ground_state_amplitude(params: SystemParams, spec: BubbleSpec,
     return (math.copysign(1.0, spec.kappa) * S_s ** (1.0 / (ts - 2.0))
             * spec.epsilon ** (0.5 * (params.n - 2.0 * params.s))
             / shape_integral(params.n) ** (1.0 / ts))
-
-
-def normalized_bubble(params: SystemParams, spec: BubbleSpec, S_s: float):
-    """Callable profile of the normalized ground state."""
-    amp = ground_state_amplitude(params, spec, S_s)
-    unit = BubbleSpec(epsilon=spec.epsilon, center=spec.center, kappa=1.0)
-
-    def profile(x):
-        return amp * bubble_eval(unit, params, x)
-
-    return profile
 
 
 def normalized_bubble_field(params: SystemParams, spec: BubbleSpec,

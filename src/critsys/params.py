@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,12 +49,15 @@ class SystemParams:
     def two_star(self) -> float:
         return 2.0 * self.n / (self.n - 2.0 * self.s)
 
+    def mirrored(self) -> "SystemParams":
+        """The system with its components swapped: alpha <-> beta, mu1 <->
+        mu2.  beta is not derived again, which could move it by an ulp."""
+        return SystemParams(self.n, self.s, self.beta, self.alpha,
+                            self.mu2, self.mu1, self.gamma)
+
     def replace_gamma(self, gamma: float) -> "SystemParams":
         return SystemParams(self.n, self.s, self.alpha, self.beta,
                             self.mu1, self.mu2, float(gamma))
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -111,11 +114,6 @@ def make_params(n: int, s: float, alpha: float, mu1: float, mu2: float,
                      gamma=gamma)
     assert abs(p.alpha + p.beta - p.two_star) <= IDENTITY_TOL
     return p
-
-
-def critical_exponent(params: SystemParams) -> float:
-    """The critical power 2* = 2n/(n - 2s)."""
-    return params.two_star
 
 
 def derived_exponents(params: SystemParams) -> DerivedExponents:

@@ -8,6 +8,7 @@ synchronized pair, or where only an ordering certificate is available.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .algebraic import CouplingSolution
@@ -144,8 +145,13 @@ def least_energy(params: SystemParams,
             constraint="regime", value=regime.label)
     absolute = None
     if S_s is not None:
-        absolute = (params.s / params.n) * dimless \
-            * S_s ** (params.n / (2.0 * params.s))
+        if not (math.isfinite(S_s) and S_s > 0.0):
+            raise DomainError("the sharp constant S_s must be positive and "
+                              "finite", constraint="S_s", value=str(S_s))
+        (scale,) = _float_powers((S_s,), params.n / (2.0 * params.s),
+                                 "S_s^(n/2s) overflows a float",
+                                 "S_s^(n/2s) finite")
+        absolute = (params.s / params.n) * dimless * scale
     return EnergyReport(dimensionless_A=dimless, absolute_A=absolute,
                         attained=attained, minimizer_coeffs=coeffs)
 
@@ -167,10 +173,16 @@ def _single_mode_levels(params: SystemParams) -> tuple[float, float]:
     """mu1^(-d) and mu2^(-d), d = (n-2s)/(2s); a level beyond the float
     range is a `NumericalError`."""
     d = derived_exponents(params).decay_power
+    return _float_powers((params.mu1, params.mu2), -d,
+                         "single-mode level mu^(-(n-2s)/2s) overflows a float",
+                         "mu^(-(n-2s)/2s) finite")
+
+
+def _float_powers(bases, exponent, message, constraint) -> tuple:
+    """Each base ** exponent in Python floats; a power beyond the float
+    range is a `NumericalError` carrying ``bases``."""
     try:
-        return params.mu1 ** (-d), params.mu2 ** (-d)
+        return tuple(base ** exponent for base in bases)
     except OverflowError:
-        raise NumericalError(
-            "single-mode level mu^(-(n-2s)/2s) overflows a float",
-            constraint="mu^(-(n-2s)/2s) finite",
-            value=(params.mu1, params.mu2)) from None
+        raise NumericalError(message, constraint=constraint,
+                             value=bases) from None

@@ -79,14 +79,11 @@ class GridField:
     def axis(self) -> np.ndarray:
         return -self.L + self.h * np.arange(self.N)
 
-    def radius_sq(self) -> np.ndarray:
+    def radius_sq(self, center=None) -> np.ndarray:
+        """|x - center|^2 on the grid; the center defaults to the origin."""
         x = self.axis()
-        r2 = np.zeros((self.N,) * self.n)
-        for d in range(self.n):
-            shape = [1] * self.n
-            shape[d] = self.N
-            r2 = r2 + (x ** 2).reshape(shape)
-        return r2
+        center = (0.0,) * self.n if center is None else center
+        return _axis_sum([(x - center[d]) ** 2 for d in range(self.n)])
 
     def like(self, values: np.ndarray) -> "GridField":
         return GridField(self.n, self.N, self.L, values)
@@ -97,13 +94,20 @@ def integrate(field: GridField) -> float:
     return field.h ** field.n * float(np.sum(field.values))
 
 
+def _axis_sum(terms) -> np.ndarray:
+    """sum_d terms[d][i_d] over the grid indexed by (i_1, ..., i_n): each
+    1-D term laid along its own axis and added, in axis order, onto zeros."""
+    out = np.zeros(tuple(len(term) for term in terms))
+    for d, term in enumerate(terms):
+        shape = [1] * len(terms)
+        shape[d] = len(term)
+        out = out + term.reshape(shape)
+    return out
+
+
 def _multiplier(field: GridField, s: float) -> np.ndarray:
     w = 2.0 * np.pi * np.fft.fftfreq(field.N, d=field.h)  # = (pi/L) * m
-    k2 = np.zeros((field.N,) * field.n)
-    for d in range(field.n):
-        shape = [1] * field.n
-        shape[d] = field.N
-        k2 = k2 + (w ** 2).reshape(shape)
+    k2 = _axis_sum([w ** 2] * field.n)
     with np.errstate(divide="ignore"):
         mult = k2 ** s
     mult[(0,) * field.n] = 0.0
@@ -146,12 +150,17 @@ class ResidualReport:
     truncation_flag: bool = False
 
 
-def _windowed_relative(res: np.ndarray, ref: np.ndarray,
-                       win: np.ndarray) -> tuple[float, float]:
-    rw, fw = res[win], ref[win]
+def _core_report(lhs: np.ndarray, rhs: np.ndarray,
+                 win: np.ndarray) -> ResidualReport:
+    """Relative L2 and sup norms of lhs - rhs against rhs on the window;
+    a relative L2 norm above 0.5 is a `ResolutionError`."""
+    rw, fw = (lhs - rhs)[win], rhs[win]
     rel_l2 = float(np.sqrt(np.sum(rw ** 2) / np.sum(fw ** 2)))
     rel_sup = float(np.max(np.abs(rw)) / np.max(np.abs(fw)))
-    return rel_l2, rel_sup
+    if rel_l2 > 0.5:
+        raise ResolutionError("core residual exceeds 0.5; grid unusable",
+                              constraint="rel_l2_core", value=rel_l2)
+    return ResidualReport(rel_l2_core=rel_l2, rel_sup_core=rel_sup)
 
 
 def pde_residual_single(params: SystemParams, U: GridField) -> ResidualReport:
@@ -160,14 +169,9 @@ def pde_residual_single(params: SystemParams, U: GridField) -> ResidualReport:
     Relative L2 and sup norms over |x| <= L/8 against the nonlinear term.
     Raises `ResolutionError` when the grid is unusable (rel L2 > 0.5).
     """
-    ts = params.two_star
-    rhs = U.values ** (ts - 1.0)
-    res = frac_laplacian(U, params.s).values - rhs
-    rel_l2, rel_sup = _windowed_relative(res, rhs, core_window(U))
-    if rel_l2 > 0.5:
-        raise ResolutionError("core residual exceeds 0.5; grid unusable",
-                              constraint="rel_l2_core", value=rel_l2)
-    return ResidualReport(rel_l2_core=rel_l2, rel_sup_core=rel_sup)
+    rhs = U.values ** (params.two_star - 1.0)
+    return _core_report(frac_laplacian(U, params.s).values, rhs,
+                        core_window(U))
 
 
 def pde_residual_system(params: SystemParams, k: float, l: float,
@@ -188,20 +192,11 @@ def pde_residual_system(params: SystemParams, k: float, l: float,
 
     rhs1 = (params.mu1 * u.values ** (ts - 1.0)
             + (a * params.gamma / ts) * u.values ** (a - 1.0) * v.values ** b)
-    res1 = frac_laplacian(u, params.s).values - rhs1
-    rel1 = _windowed_relative(res1, rhs1, win)
-
+    report1 = _core_report(frac_laplacian(u, params.s).values, rhs1, win)
     rhs2 = (params.mu2 * v.values ** (ts - 1.0)
             + (b * params.gamma / ts) * u.values ** a * v.values ** (b - 1.0))
-    res2 = frac_laplacian(v, params.s).values - rhs2
-    rel2 = _windowed_relative(res2, rhs2, win)
-
-    for rel in (rel1[0], rel2[0]):
-        if rel > 0.5:
-            raise ResolutionError("core residual exceeds 0.5; grid unusable",
-                                  constraint="rel_l2_core", value=rel)
-    return (ResidualReport(rel_l2_core=rel1[0], rel_sup_core=rel1[1]),
-            ResidualReport(rel_l2_core=rel2[0], rel_sup_core=rel2[1]))
+    report2 = _core_report(frac_laplacian(v, params.s).values, rhs2, win)
+    return report1, report2
 
 
 def dump_field(field: GridField, s: float, path: str) -> None:
@@ -220,12 +215,15 @@ def dump_field(field: GridField, s: float, path: str) -> None:
 
 def load_field(path: str) -> tuple[GridField, float]:
     with open(path, "rb") as fh:
-        header = fh.read(HEADER_BYTES)
-        magic, n, N = struct.unpack("<8sii", header[:16])
-        L, s = struct.unpack("<dd", header[16:])
-        if magic != _MAGIC:
-            raise DomainError("not a field dump (bad magic)",
-                              constraint="magic", value=magic.decode("ascii",
-                                                                     "replace"))
-        values = np.frombuffer(fh.read(), dtype="<f8")
+        header, body = fh.read(HEADER_BYTES), fh.read()
+    if len(header) < HEADER_BYTES or len(body) % 8:
+        raise DomainError("truncated field dump", constraint="length",
+                          value=len(header) + len(body))
+    magic, n, N = struct.unpack("<8sii", header[:16])
+    L, s = struct.unpack("<dd", header[16:])
+    if magic != _MAGIC:
+        raise DomainError("not a field dump (bad magic)",
+                          constraint="magic", value=magic.decode("ascii",
+                                                                 "replace"))
+    values = np.frombuffer(body, dtype="<f8")
     return GridField(n=n, N=N, L=L, values=values.copy()), s

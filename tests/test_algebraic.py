@@ -68,6 +68,59 @@ def test_F1_alpha_exactly_two_at_zero_k():
     assert eval_F1(p, 0.0, 1.0) == pytest.approx(2.0 / 10.0 - 1.0, abs=1e-15)
 
 
+def whole_box_params(rng):
+    """Any valid parameter set: mu over [1e-3, 1e3], |gamma| up to 1e6."""
+    n = int(rng.integers(1, 7))
+    s = rng.uniform(0.02, min(0.98, 0.5 * n - 0.005))
+    ts = 2.0 * n / (n - 2.0 * s)
+    alpha = 1.0 + rng.uniform(0.001, 0.999) * (ts - 2.0)
+    mu1, mu2 = 10.0 ** rng.uniform(-3.0, 3.0, 2)
+    gamma = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-4.0, 6.0)
+    return make_params(n, s, alpha, mu1, mu2, gamma)
+
+
+def test_F1_F2_bit_identical_to_explicit_expressions():
+    # the expressions F1 and F2 had before they shared one implementation;
+    # each keeps its k-power-first product order
+    powp = algebraic._powp
+    rng = np.random.default_rng(2024)
+    for _ in range(2000):
+        p = whole_box_params(rng)
+        a, b, ts = p.alpha, p.beta, p.two_star
+        r = 0.5 * (ts - 2.0)
+        k, l = 10.0 ** rng.uniform(-6.0, 2.0, 2)
+        f1 = (p.mu1 * powp(k, r)
+              + (a * p.gamma / ts) * powp(k, 0.5 * (a - 2.0))
+              * powp(l, 0.5 * b) - 1.0)
+        f2 = (p.mu2 * powp(l, r) + (b * p.gamma / ts) * powp(k, 0.5 * a)
+              * powp(l, 0.5 * (b - 2.0)) - 1.0)
+        assert eval_F1(p, k, l).hex() == f1.hex()
+        assert eval_F2(p, k, l).hex() == f2.hex()
+
+
+def test_F_domain_errors_name_their_argument():
+    # each function checks its own variable first
+    for f, first in ((eval_F1, "k"), (eval_F2, "l")):
+        with pytest.raises(DomainError) as exc:
+            f(P_B, -1.0, -1.0)
+        assert exc.value.constraint == first
+
+
+def test_mirrored_swaps_fields_exactly():
+    rng = np.random.default_rng(5)
+    moved = 0
+    for _ in range(500):
+        p = whole_box_params(rng)
+        m = p.mirrored()
+        assert (m.n, m.s, m.alpha, m.beta, m.mu1, m.mu2, m.gamma) == \
+            (p.n, p.s, p.beta, p.alpha, p.mu2, p.mu1, p.gamma)
+        assert m.mirrored() == p
+        # deriving beta again from the swapped alpha can move it by an ulp
+        moved += make_params(p.n, p.s, p.beta, p.mu2, p.mu1,
+                             p.gamma).beta != p.alpha
+    assert moved > 0
+
+
 def test_F_vectorized():
     ks = np.array([0.3, 0.5, 1.0])
     out = eval_F1(P_B, ks, 1.0)
@@ -111,6 +164,11 @@ def test_curve_domain_errors():
         curve_l_of_k(P_B, 0.0)
     with pytest.raises(DomainError):
         curve_l_of_k(P_B.replace_gamma(-1.0), 0.3)
+    p = make_params(3, 0.5, 1.2, 0.5, 2.0, 0.7)
+    for x in (l_sup(p) * 1.01, 0.0):
+        with pytest.raises(DomainError, match=r"^l outside .*mu2") as exc:
+            curve_k_of_l(p, x)
+        assert exc.value.constraint == "l"
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +549,8 @@ def test_jacobian_matches_finite_differences():
 def test_newton_polish_reaches_residual_floor():
     p = P_B.replace_gamma(2.0)
     k0 = symmetric_root(3.0, 1.0, 2.0)
-    k, l = newton_polish(p, k0 * 1.05, k0 * 0.95, tol=1e-12)
+    converged, k, l = newton_polish(p, k0 * 1.05, k0 * 0.95, tol=1e-12)
+    assert converged
     assert abs(eval_F1(p, k, l)) <= 1e-12
     assert abs(eval_F2(p, k, l)) <= 1e-12
 

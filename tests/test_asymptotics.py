@@ -8,7 +8,8 @@ from critsys.asymptotics import (OverlapQuadrature, contraction_ball,
                                  continuation_branch, energy_gap_vs_R,
                                  overlap_theta, perturbation_constants,
                                  solve_tR_sR)
-from critsys.errors import DivergenceError, DomainError, QuadratureError
+from critsys.errors import (DivergenceError, DomainError, NumericalError,
+                            QuadratureError)
 from critsys.params import make_params
 
 from conftest import rng_params
@@ -140,6 +141,13 @@ def test_gamma_negative_gives_supersolution_side():
 def test_energy_gap_requires_negative_gamma():
     with pytest.raises(DomainError):
         energy_gap_vs_R(P_SYM, [10.0], quad=FAST_QUAD)
+
+
+def test_energy_gap_overflowing_level_is_numerical_error():
+    # mu1^(-(n-2s)/2s) = 0.0016^(-155.25) overflows a float
+    p = make_params(5, 0.016, 1.005, 1.6e-3, 1.0, -1.0)
+    with pytest.raises(NumericalError, match="overflows"):
+        energy_gap_vs_R(p, [10.0], quad=FAST_QUAD)
 
 
 def test_energy_gap_ladder_shrinks():

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from critsys.bubbles import (BubbleSpec, bubble_critical_norm, bubble_eval,
-                             bubble_field, normalized_bubble,
-                             normalized_bubble_field, rayleigh_quotient,
+                             bubble_field, normalized_bubble_field,
+                             rayleigh_quotient,
                              residual_study, shape_integral,
                              sobolev_constant_closed_form,
                              sobolev_constant_spectral)
@@ -192,10 +192,11 @@ def test_normalized_bubble_positive_and_symmetric():
 
 def test_normalization_is_kappa_independent():
     S = sobolev_constant_closed_form(P3).value
-    prof_a = normalized_bubble(P3, BubbleSpec(1.0, (0.0,) * 3, kappa=2.0), S)
-    prof_b = normalized_bubble(P3, BubbleSpec(1.0, (0.0,) * 3, kappa=5.0), S)
-    pts = np.random.default_rng(0).uniform(-3, 3, size=(50, 3))
-    assert np.max(np.abs(prof_a(pts) - prof_b(pts))) <= 1e-12
+    U_a = normalized_bubble_field(
+        P3, BubbleSpec(1.0, (0.5, -1.0, 0.25), kappa=2.0), S, 16, 3.0)
+    U_b = normalized_bubble_field(
+        P3, BubbleSpec(1.0, (0.5, -1.0, 0.25), kappa=5.0), S, 16, 3.0)
+    assert np.max(np.abs(U_a.values - U_b.values)) <= 1e-12
 
 
 def test_shape_integral_against_quadrature():

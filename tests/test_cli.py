@@ -142,6 +142,27 @@ def test_energy_command(tmp_path, capsys):
         1.25 / 6.0 * 2.7 ** 3, rel=1e-14)
 
 
+@pytest.mark.parametrize("Ss", ["nan", "inf", "0", "-2.7"])
+def test_energy_rejects_bad_sharp_constant(tmp_path, capsys, Ss):
+    params = write_params(tmp_path, gamma=-1.0)
+    code, out, err = run_main(capsys, "energy", "--params", params,
+                              "--Ss", Ss)
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "domain" and payload["constraint"] == "S_s"
+
+
+def test_energy_overflowing_sharp_constant_is_numerical(tmp_path, capsys):
+    # S_s^(n/2s) = (1e308)^3 overflows a float
+    params = write_params(tmp_path, gamma=-1.0)
+    code, out, err = run_main(capsys, "energy", "--params", params,
+                              "--Ss", "1e308")
+    assert code == 2 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "numerical"
+    assert "overflows" in payload["message"]
+
+
 def test_energy_attained_includes_minimizer(tmp_path, capsys):
     params = write_params(tmp_path, gamma=2.0)
     code, out, _ = run_main(capsys, "energy", "--params", params)
@@ -235,6 +256,31 @@ def test_sweep_matches_golden_file(tmp_path, capsys):
                           "--out", str(out_path))
     assert code == 0
     assert out_path.read_text() == (DATA / "golden_sweep.csv").read_text()
+
+
+@pytest.mark.parametrize("regime", ["A", "B"])
+def test_asymmetric_sweep_matches_golden_file(tmp_path, capsys, regime):
+    # alpha != beta and mu1 != mu2: a slip between the two sides of the
+    # system (mu1 for mu2, alpha for beta, the order of a product) shows here
+    out_path = tmp_path / "sweep.csv"
+    code, _, _ = run_main(capsys, "sweep", "--grid",
+                          str(DATA / f"mirror_grid_{regime}.json"),
+                          "--out", str(out_path))
+    assert code == 0
+    assert out_path.read_text() == \
+        (DATA / f"golden_mirror_{regime}.csv").read_text()
+
+
+def test_folding_branch_matches_golden_file(tmp_path, capsys):
+    # mu2/mu1 = 2 and alpha != beta, traced to 0.999 gamma_B; the branch folds
+    out_path = tmp_path / "branch.csv"
+    code, _, _ = run_main(capsys, "continue", "--n", "3", "--s", "0.5",
+                          "--alpha", "1.4", "--mu1", "1.3", "--mu2", "2.6",
+                          "--gamma", "0.1", "--gamma-max", "2.75003037202091",
+                          "--out", str(out_path))
+    assert code == 0
+    assert out_path.read_text() == \
+        (DATA / "golden_fold_branch.csv").read_text()
 
 
 def test_sweep_is_deterministic(tmp_path, capsys):

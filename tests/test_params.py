@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 
 from critsys.errors import DomainError
-from critsys.params import (critical_exponent, derived_exponents, make_params,
-                            params_from_dict, params_from_json)
+from critsys.params import (derived_exponents, make_params, params_from_dict,
+                            params_from_json)
 
 from conftest import system_params
 
@@ -55,10 +55,10 @@ def test_named_rejections():
 
 
 def test_critical_exponent_values():
-    assert critical_exponent(make_params(3, 0.5, 1.5, 1, 1, 0)) == pytest.approx(3.0)
-    assert critical_exponent(make_params(4, 0.9, 1.5, 1, 1, 0)) \
+    assert make_params(3, 0.5, 1.5, 1, 1, 0).two_star == pytest.approx(3.0)
+    assert make_params(4, 0.9, 1.5, 1, 1, 0).two_star \
         == pytest.approx(8.0 / 2.2, rel=1e-15)
-    assert critical_exponent(make_params(1, 0.4, 5.0, 1, 1, 0)) \
+    assert make_params(1, 0.4, 5.0, 1, 1, 0).two_star \
         == pytest.approx(10.0, abs=1e-12)
 
 

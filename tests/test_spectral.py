@@ -205,6 +205,16 @@ def test_dump_roundtrip_and_header(tmp_path):
     assert np.array_equal(back.values, U.values)
 
 
+@pytest.mark.parametrize("size", [20, 32 + 8 * 100, 32 + 8 * 16 ** 3 - 3],
+                         ids=["header", "body", "partial-value"])
+def test_load_rejects_truncated_dump(tmp_path, size):
+    path = tmp_path / "field.bin"
+    dump_field(small_bubble_grid(N=16, L=4.0, eps=0.5), P3.s, str(path))
+    path.write_bytes(path.read_bytes()[:size])
+    with pytest.raises(DomainError):
+        load_field(str(path))
+
+
 def test_load_rejects_bad_magic(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"NOTMAGIC" + b"\0" * 24)
