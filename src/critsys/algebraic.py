@@ -295,7 +295,9 @@ def newton_polish(params: SystemParams, k: float, l: float, tol: float,
 
     Converged means both residuals are at most ``tol``; otherwise the loop
     stopped after ``max_iter`` steps, at a singular Jacobian or at a
-    non-finite iterate.  A step that would leave k, l > 0 is halved."""
+    non-finite iterate.  A step that would leave k, l > 0 is halved down to
+    ``_DAMPING_FLOOR``; one that leaves them even then stops the loop at the
+    last iterate."""
     if k <= 0.0 or l <= 0.0:
         return False, float(k), float(l)
     for _ in range(max_iter):
@@ -311,7 +313,10 @@ def newton_polish(params: SystemParams, k: float, l: float, tol: float,
         while scale > _DAMPING_FLOOR and (k - scale * step[0] <= 0.0
                                           or l - scale * step[1] <= 0.0):
             scale *= 0.5
-        k, l = k - scale * step[0], l - scale * step[1]
+        k_next, l_next = k - scale * step[0], l - scale * step[1]
+        if k_next <= 0.0 or l_next <= 0.0:
+            break
+        k, l = k_next, l_next
         if not (math.isfinite(k) and math.isfinite(l)):
             break
     return False, float(k), float(l)

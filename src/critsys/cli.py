@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import sys
 
 from . import algebraic, asymptotics, bubbles, regimes, spectral
@@ -41,7 +42,8 @@ def _fmt(value) -> str:
 
 
 def dumps17(obj, indent=0) -> str:
-    """JSON text with every float at 17 significant digits."""
+    """JSON text with every finite float at 17 significant digits and
+    nan, inf and -inf as the strings "nan", "inf" and "-inf"."""
     pad = "  " * indent
     if isinstance(obj, dict):
         items = ",\n".join(
@@ -56,6 +58,8 @@ def dumps17(obj, indent=0) -> str:
     if obj is None:
         return "null"
     if isinstance(obj, float):
+        if not math.isfinite(obj):
+            return json.dumps(str(obj))  # JSON has no nan or inf numbers
         return format(obj, ".17g")
     if isinstance(obj, int):
         return str(obj)

@@ -3,13 +3,23 @@
 Fields live on the uniform grid of [-L, L)^n with N points per axis.  The
 fractional Laplacian is the Fourier multiplier |xi|^(2s) with torus
 frequencies xi = (pi/L) m, m integer in [-N/2, N/2); the zero mode maps to
-zero and the Nyquist mode is kept (the multiplier is even, so real fields
-stay real).  Residuals are reported on the core window |x| <= L/8 where
-periodic images pollute least.
+zero and the Nyquist mode is kept.
+
+Fields are real, so the transforms are numpy's real-to-complex `rfftn` and
+its inverse `irfftn`: the spectrum is stored only for the non-negative
+frequencies of the last axis, bins 0 to N/2 (Nyquist), since the rest are
+complex conjugates.  The multiplier is even, so it maps that half spectrum
+to the half spectrum of a real field.  It is built once per (n, N, L, s) and
+kept in a small cache; so is the core-window mask per (n, N, L, fraction).
+Both cached arrays are read-only because every caller shares them.
+
+Residuals are reported on the core window |x| <= L/8 where periodic images
+pollute least.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -77,7 +87,7 @@ class GridField:
         return 2.0 * self.L / self.N
 
     def axis(self) -> np.ndarray:
-        return -self.L + self.h * np.arange(self.N)
+        return _axis(self.N, self.L)
 
     def radius_sq(self, center=None) -> np.ndarray:
         """|x - center|^2 on the grid; the center defaults to the origin."""
@@ -94,6 +104,11 @@ def integrate(field: GridField) -> float:
     return field.h ** field.n * float(np.sum(field.values))
 
 
+def _axis(N: int, L: float) -> np.ndarray:
+    """The N grid points of [-L, L), spaced h = 2L/N."""
+    return -L + (2.0 * L / N) * np.arange(N)
+
+
 def _axis_sum(terms) -> np.ndarray:
     """sum_d terms[d][i_d] over the grid indexed by (i_1, ..., i_n): each
     1-D term laid along its own axis and added, in axis order, onto zeros."""
@@ -105,12 +120,17 @@ def _axis_sum(terms) -> np.ndarray:
     return out
 
 
-def _multiplier(field: GridField, s: float) -> np.ndarray:
-    w = 2.0 * np.pi * np.fft.fftfreq(field.N, d=field.h)  # = (pi/L) * m
-    k2 = _axis_sum([w ** 2] * field.n)
-    with np.errstate(divide="ignore"):
-        mult = k2 ** s
-    mult[(0,) * field.n] = 0.0
+@functools.lru_cache(maxsize=8)
+def _half_multiplier(n: int, N: int, L: float, s: float) -> np.ndarray:
+    """|xi|^(2s) on the half spectrum that `rfftn` returns for an (N,)*n
+    grid of half-width L: full torus frequencies on the first n - 1 axes,
+    the non-negative ones (zero to Nyquist) on the last.  Cached and shared
+    between callers, so read-only."""
+    h = 2.0 * L / N
+    w = 2.0 * np.pi * np.fft.fftfreq(N, d=h)  # = (pi/L) * m
+    w_half = 2.0 * np.pi * np.fft.rfftfreq(N, d=h)
+    mult = _axis_sum([w ** 2] * (n - 1) + [w_half ** 2]) ** s
+    mult.flags.writeable = False
     return mult
 
 
@@ -123,9 +143,10 @@ def frac_laplacian(field: GridField, s: float) -> GridField:
     if not 0.0 < s <= 1.0:
         raise DomainError("fractional order must satisfy 0 < s <= 1",
                           constraint="s", value=s)
-    hat = np.fft.fftn(field.values)
-    out = np.fft.ifftn(_multiplier(field, s) * hat).real
-    return field.like(out)
+    axes = tuple(range(field.n))
+    hat = np.fft.rfftn(field.values, axes=axes)
+    hat *= _half_multiplier(field.n, field.N, field.L, s)
+    return field.like(np.fft.irfftn(hat, s=field.values.shape, axes=axes))
 
 
 def seminorm(field: GridField, s: float) -> float:
@@ -133,14 +154,28 @@ def seminorm(field: GridField, s: float) -> float:
     if not 0.0 < s <= 1.0:
         raise DomainError("fractional order must satisfy 0 < s <= 1",
                           constraint="s", value=s)
-    hat = np.fft.fftn(field.values)
+    hat = np.fft.rfftn(field.values, axes=tuple(range(field.n)))
+    power = _half_multiplier(field.n, field.N, field.L, s) * np.abs(hat) ** 2
     scale = field.h ** field.n / field.N ** field.n
-    return scale * float(np.sum(_multiplier(field, s) * np.abs(hat) ** 2))
+    # the half spectrum keeps bins 0..N/2 of the last axis; bins 1..N/2-1
+    # also stand for their conjugate mirror images, so they count twice
+    return scale * float(np.sum(power) + np.sum(power[..., 1:-1]))
 
 
 def core_window(field: GridField, fraction: float = 0.125) -> np.ndarray:
-    """Boolean mask of the ball |x| <= fraction * L."""
-    return field.radius_sq() <= (fraction * field.L) ** 2
+    """Boolean mask of the ball |x| <= fraction * L.
+
+    Cached per (n, N, L, fraction) and shared between callers, so
+    read-only."""
+    return _core_window(field.n, field.N, field.L, fraction)
+
+
+@functools.lru_cache(maxsize=8)
+def _core_window(n: int, N: int, L: float, fraction: float) -> np.ndarray:
+    x = _axis(N, L)
+    mask = _axis_sum([x ** 2] * n) <= (fraction * L) ** 2
+    mask.flags.writeable = False
+    return mask
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,8 @@ from critsys.algebraic import (BISECT_RTOL, BISECT_XTOL, CouplingSolution,
                                jacobian, k_sup, l_sup, newton_polish, ratio_f1,
                                ratio_f2, solve_ratio_reduction)
 from critsys.errors import (CounterexampleError, CritsysError, DomainError,
-                            MonotonicityViolationError, NoSignChangeError)
+                            MonotonicityViolationError, NoSignChangeError,
+                            NumericalError)
 from critsys.params import make_params
 from critsys.regimes import gamma_threshold_B
 
@@ -553,6 +554,18 @@ def test_newton_polish_reaches_residual_floor():
     assert converged
     assert abs(eval_F1(p, k, l)) <= 1e-12
     assert abs(eval_F2(p, k, l)) <= 1e-12
+
+
+def test_newton_floor_step_leaving_the_domain_is_a_residual_error():
+    # draw 216 of whole_box_params with seed 0: a polish step damped to the
+    # floor still crosses k = 0, so the loop stops at its last iterate and
+    # the valid point reports a residual error, not a k-domain error
+    rng = np.random.default_rng(0)
+    for _ in range(216):
+        p = whole_box_params(rng)
+    with pytest.raises(NumericalError) as exc:
+        find_k0_l0(p)
+    assert exc.value.constraint == "residual"
 
 
 # ---------------------------------------------------------------------------

@@ -350,17 +350,35 @@ def test_unreadable_input_file_is_domain_error(tmp_path, capsys, command,
 
 
 def test_import_loads_no_scipy():
+    # scipy is a test-only dependency: neither the import nor a run of the
+    # FFT commands may load it (a lazy scipy.fft import alone costs ~0.3 s)
     src = str(Path(__file__).parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, critsys.cli; "
-         "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"],
-        capture_output=True, text=True, env=env)
+    script = "\n".join([
+        "import contextlib, io, sys, critsys.cli",
+        "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    codes = [critsys.cli.main(argv.split()) for argv in (",
+        "        'verify --n 3 --s 0.5 --alpha 1.5 --mu1 1 --mu2 1 '",
+        "        '--gamma 2 --N 16 --L 4', 'sobolev --n 3 --s 0.5 --N 16')]",
+        "print(codes, [m for m in sys.modules if m.split('.')[0] == 'scipy'])",
+    ])
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.splitlines() == ["[]", "[0, 0] []"]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_error_value_is_valid_json(capsys, value):
+    code, out, err = run_main(capsys, "classify", "--n", "3", "--s", "0.5",
+                              "--alpha", "1.5", "--mu1", "1", "--mu2", "1",
+                              "--gamma", value)
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert (payload["constraint"], payload["value"]) == ("gamma", value)
 
 
 def test_console_entry_point():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from critsys import spectral
 from critsys.bubbles import (BubbleSpec, normalized_bubble_field,
                              sobolev_constant_closed_form)
 from critsys.errors import DomainError, ResolutionError
@@ -101,6 +102,45 @@ def test_s_equals_one_matches_second_differences():
     assert errs[0] / errs[1] >= 3.0  # second-order shrinkage
 
 
+def complex_reference(field, s):
+    """frac_laplacian values and seminorm through full complex transforms."""
+    xi = (np.pi / field.L) * np.fft.fftfreq(field.N, d=1.0 / field.N)
+    grids = np.meshgrid(*[xi] * field.n, indexing="ij")
+    mult = sum(g ** 2 for g in grids) ** s
+    hat = np.fft.fftn(field.values)
+    lap = np.fft.ifftn(mult * hat).real
+    norm = field.h ** field.n / field.N ** field.n \
+        * np.sum(mult * np.abs(hat) ** 2)
+    return lap, norm
+
+
+@pytest.mark.parametrize("s", [0.05, 0.5, 0.97, 1.0])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_real_transforms_match_complex_reference(n, s):
+    rng = np.random.default_rng(100 * n + int(100 * s))
+    for N in (2, 4, 8, 16, 32, 64):
+        g = GridField(n, N, rng.uniform(0.5, 20.0),
+                      rng.standard_normal(N ** n))
+        lap, norm = complex_reference(g, s)
+        got = frac_laplacian(g, s).values
+        assert np.max(np.abs(got - lap)) <= 1e-14 * np.max(np.abs(lap))
+        assert abs(seminorm(g, s) - norm) <= 1e-14 * norm
+
+
+def test_cached_multiplier_and_window_are_read_only_and_keyed():
+    mult = spectral._half_multiplier(2, 8, 3.0, 0.5)
+    assert mult.shape == (8, 5)  # bins 0..N/2 on the last axis
+    assert spectral._half_multiplier(2, 8, 3.0, 0.5) is mult
+    for other in (spectral._half_multiplier(2, 8, 4.0, 0.5),
+                  spectral._half_multiplier(2, 8, 3.0, 0.6)):
+        assert not np.array_equal(other, mult)
+    with pytest.raises(ValueError):
+        mult[1, 1] = 0.0
+    win = core_window(GridField(2, 8, 3.0, np.zeros(64)))
+    with pytest.raises(ValueError):
+        win[0, 0] = True
+
+
 def test_s_out_of_range():
     g = GridField(1, 8, 1.0, np.zeros(8))
     with pytest.raises(DomainError):
@@ -184,6 +224,16 @@ def test_core_window_radius():
     win = core_window(g)
     xs = g.axis()
     assert np.array_equal(win, np.abs(xs) <= 1.0)
+
+
+def test_cached_core_window_equals_radius_test():
+    for n, N, L, fraction in [(1, 64, 8.0, 0.125), (2, 32, 5.0, 0.3),
+                              (3, 16, 4.0, 0.125), (3, 16, 4.0, 0.5),
+                              (3, 32, 6.0, 0.125)]:
+        g = GridField(n, N, L, np.zeros(N ** n))
+        for _ in range(2):  # built, then from the cache
+            assert np.array_equal(core_window(g, fraction),
+                                  g.radius_sq() <= (fraction * L) ** 2)
 
 
 # ---------------------------------------------------------------------------
