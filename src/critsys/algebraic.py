@@ -46,6 +46,10 @@ _SCAN = np.geomspace(1e-8, 1.0 - 1e-12, 512)
 _BATCH = 1024
 #: a Newton step that would leave k, l > 0 is halved down to this factor
 _DAMPING_FLOOR = 1e-6
+#: points of the uniform grid on which curve_diagnostics checks each slope
+SLOPE_GRID_POINTS = 10_000
+#: roundoff allowance of check_domination in c + d >= k0 + l0
+DOMINATION_SLACK = 1e-9
 
 
 def _powp(x, p):
@@ -553,8 +557,7 @@ def curve_lprime(params: SystemParams, k):
     return out if np.ndim(out) else float(out)
 
 
-def curve_diagnostics(params: SystemParams,
-                      grid_points: int = 10_000) -> CurveDiagnostics:
+def curve_diagnostics(params: SystemParams) -> CurveDiagnostics:
     """Closed-form slope structure of both curves plus grid validation.
 
     The finite-difference minimum of each slope must agree with the closed
@@ -570,11 +573,11 @@ def curve_diagnostics(params: SystemParams,
                           constraint="alpha, beta", value=(a, b))
     # the fields of l(k), then those of its mirror k(l)
     return CurveDiagnostics(
-        *_slope_structure(params, grid_points, "l'(k)"),
-        *_slope_structure(params.mirrored(), grid_points, "k'(l)"))
+        *_slope_structure(params, "l'(k)"),
+        *_slope_structure(params.mirrored(), "k'(l)"))
 
 
-def _slope_structure(params, grid_points, name):
+def _slope_structure(params, name):
     """Sign change, inflection point and closed-form minimum of l'(k), and
     the grid minimum, which must agree with it within 1e-6 relative."""
     a, b, ts = params.alpha, params.beta, params.two_star
@@ -584,7 +587,7 @@ def _slope_structure(params, grid_points, name):
     closed = -(_powp(ts * (ts - 2.0) * params.mu1 / (2.0 * a * params.gamma),
                      2.0 / b)
                * _powp((2.0 - b) / (2.0 - a), (2.0 - b) / b))
-    measured = float(np.min(finite_difference_lprime(params, grid_points)[1]))
+    measured = float(np.min(finite_difference_lprime(params)[1]))
     if abs(measured - closed) > 1e-6 * abs(closed):
         raise NumericalError(
             f"grid minimum of {name} disagrees with the closed form",
@@ -592,7 +595,8 @@ def _slope_structure(params, grid_points, name):
     return sign, infl, closed, measured
 
 
-def finite_difference_lprime(params: SystemParams, grid_points: int = 10_000):
+def finite_difference_lprime(params: SystemParams,
+                             grid_points: int = SLOPE_GRID_POINTS):
     """Central finite differences of l(k) on a uniform interior grid."""
     ksup = k_sup(params)
     ks = np.linspace(ksup * 1e-6, ksup * (1.0 - 1e-6), grid_points)
@@ -613,12 +617,11 @@ class DominationReport:
 
 
 def check_domination(params: SystemParams, solution: CouplingSolution,
-                     samples: int = 10_000, seed: int = 0,
-                     slack: float = 1e-9) -> DominationReport:
+                     samples: int = 10_000, seed: int = 0) -> DominationReport:
     """Randomized check that feasible pairs dominate the root in c + d.
 
     Draws log-uniform (c, d); every pair with F1 >= 0 and F2 >= 0 must
-    satisfy c + d >= k0 + l0 - slack.  A violating pair raises
+    satisfy c + d >= k0 + l0 - DOMINATION_SLACK.  A violating pair raises
     `CounterexampleError` with the pair attached; this signals either a
     solver bug or parameters outside the theorem hypotheses.
     """
@@ -638,7 +641,7 @@ def check_domination(params: SystemParams, solution: CouplingSolution,
     worst_idx = np.flatnonzero(feas)[np.argmin(margins[feas])]
     worst_margin = float(margins[worst_idx])
     worst_point = (float(c[worst_idx]), float(d[worst_idx]))
-    bad = feas & (margins < -slack)
+    bad = feas & (margins < -DOMINATION_SLACK)
     n_bad = int(np.count_nonzero(bad))
     if n_bad:
         i = np.flatnonzero(bad)[0]

@@ -18,17 +18,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebraic, regimes
-from .bubbles import BubbleSpec, ground_state_amplitude, \
+from .bubbles import BubbleSpec, bubble_field, ground_state_amplitude, \
     sobolev_constant_closed_form
 from .errors import DivergenceError, DomainError, QuadratureError
 from .params import SystemParams
-from .spectral import GridField
 
 #: conservative rejection threshold for the overlap ratio
 THETA_MAX = 0.1
 
 #: slack added to the contraction-ball bound (pure roundoff allowance)
 BALL_SLACK = 1e-8
+
+#: automatic overlap box: half the separation plus this many bubble widths
+MARGIN_FACTOR = 10.0
+#: iteration cap of the (t_R, s_R) fixed point
+FIXED_POINT_MAX_ITER = 200
+#: accepted samples after which a continuation branch stops as stalled
+MAX_BRANCH_SAMPLES = 100_000
 
 
 @dataclass(frozen=True)
@@ -42,14 +48,14 @@ class OverlapQuadrature:
     """Grid quadrature settings for the overlap integrals.
 
     L = None picks the box automatically (half the separation plus a
-    margin of ten bubble widths).  Tail contributions are estimated by
-    box doubling at the same point count when ``check_tails`` is on.
+    margin of ``MARGIN_FACTOR`` bubble widths).  Tail contributions are
+    estimated by box doubling at the same point count when ``check_tails``
+    is on.
     """
 
     N: int = 128
     eps: float = 1.0
     L: float | None = None
-    margin_factor: float = 10.0
     check_tails: bool = True
 
 
@@ -90,29 +96,23 @@ class ContinuationPath:
 # ---------------------------------------------------------------------------
 # overlap ratio
 
-def _pair_fields(params: SystemParams, R: float,
-                 quad: OverlapQuadrature, L: float,
-                 shift: tuple[float, ...] | None) -> tuple[GridField, GridField]:
-    ts = params.two_star
-    S = sobolev_constant_closed_form(params).value
-    shift = (0.0,) * params.n if shift is None else tuple(shift)
-    c1 = tuple((R / 2.0 if d == 0 else 0.0) + shift[d] for d in range(params.n))
-    c2 = tuple((-R / 2.0 if d == 0 else 0.0) + shift[d] for d in range(params.n))
-    base = GridField(params.n, quad.N, L, np.zeros(quad.N ** params.n))
-    decay = 0.5 * (params.n - 2.0 * params.s)
-
-    def w(center, mu):
-        amp = mu ** (-1.0 / (ts - 2.0)) * ground_state_amplitude(
-            params, BubbleSpec(quad.eps, center), S)
-        return amp * (quad.eps ** 2 + base.radius_sq(center)) ** (-decay)
-
-    return base.like(w(c1, params.mu1)), base.like(w(c2, params.mu2))
-
-
 def _theta_on_box(params: SystemParams, R: float, quad: OverlapQuadrature,
                   L: float, shift) -> float:
+    """theta on the box [-L, L)^n for the ground states of strengths mu1
+    and mu2 centred at +R/2 and -R/2 on the e1 axis, plus ``shift``."""
     a, b, ts = params.alpha, params.beta, params.two_star
-    w1, w2 = _pair_fields(params, R, quad, L, shift)
+    S = sobolev_constant_closed_form(params).value
+    amp = ground_state_amplitude(params, BubbleSpec(quad.eps, (0.0,)), S)
+    shift = (0.0,) * params.n if shift is None else tuple(shift)
+
+    def w(sign, mu):
+        center = tuple((sign * R / 2.0 if d == 0 else 0.0) + shift[d]
+                       for d in range(params.n))
+        kappa = mu ** (-1.0 / (ts - 2.0)) * amp  # amp is center-free
+        return bubble_field(BubbleSpec(quad.eps, center, kappa), params,
+                            quad.N, L)
+
+    w1, w2 = w(1.0, params.mu1), w(-1.0, params.mu2)
     hn = w1.h ** params.n
     num = hn * float(np.sum(w1.values ** a * w2.values ** b))
     den = hn * params.mu1 * float(np.sum(w1.values ** ts))
@@ -132,7 +132,7 @@ def overlap_theta(params: SystemParams, R: float,
         raise DomainError("separation must be nonnegative", constraint="R",
                           value=R)
     L = quad.L if quad.L is not None \
-        else R / 2.0 + quad.margin_factor * quad.eps
+        else R / 2.0 + MARGIN_FACTOR * quad.eps
     theta = _theta_on_box(params, R, quad, L, shift)
     if quad.check_tails:
         theta2 = _theta_on_box(params, R, quad, 2.0 * L, shift)
@@ -165,7 +165,7 @@ def contraction_ball(params: SystemParams, theta: float) -> float:
 
 
 def solve_tR_sR(params: SystemParams, theta: float,
-                tol: float = 1e-12, max_iter: int = 200) -> PerturbationSolution:
+                tol: float = 1e-12) -> PerturbationSolution:
     """Fixed point of the overlap-perturbed projection system
 
         t^((2*-2)/2) + (alpha gamma/2*) t^((alpha-2)/2) s^(beta/2) theta = 1,
@@ -173,8 +173,9 @@ def solve_tR_sR(params: SystemParams, theta: float,
 
     solved by iterating the exact rearranged map from (1, 1); the
     linearization around (1, 1) is the contraction that certifies the ball
-    |t-1| + |s-1| <= 2 ||c||_1 theta.  Solutions outside that ball (or
-    non-convergence within ``max_iter``) raise `DivergenceError`: theta is
+    |t-1| + |s-1| <= 2 ||c||_1 theta.  Solutions outside that ball, an
+    iterate beyond the float range, or non-convergence within
+    ``FIXED_POINT_MAX_ITER`` steps raise `DivergenceError`: theta is
     outside the contraction regime.
     """
     if theta < 0.0:
@@ -186,33 +187,35 @@ def solve_tR_sR(params: SystemParams, theta: float,
     a, b, ts, g = params.alpha, params.beta, params.two_star, params.gamma
     r = 0.5 * (ts - 2.0)
 
-    def defect(t, s):
-        g1 = t ** r + (a * g / ts) * t ** (0.5 * (a - 2.0)) \
-            * s ** (0.5 * b) * theta - 1.0
-        g2 = s ** r + (b * g / ts) * t ** (0.5 * a) \
-            * s ** (0.5 * (b - 2.0)) * theta - 1.0
-        return max(abs(g1), abs(g2))
+    def coupling(t, s):
+        """Coupling terms at (t, s), reused by the map, and the defect."""
+        c1 = (a * g / ts) * t ** (0.5 * (a - 2.0)) * s ** (0.5 * b) * theta
+        c2 = (b * g / ts) * t ** (0.5 * a) * s ** (0.5 * (b - 2.0)) * theta
+        return c1, c2, max(abs(t ** r + c1 - 1.0), abs(s ** r + c2 - 1.0))
 
     t, s = 1.0, 1.0
     iterations = 0
-    d = defect(t, s)
+    c1, c2, d = coupling(t, s)
     while d > tol:
         iterations += 1
-        if iterations > max_iter:
+        if iterations > FIXED_POINT_MAX_ITER:
             raise DivergenceError(
                 "fixed point did not converge; theta outside the "
                 "contraction regime", constraint="iterations", value=d)
-        base1 = 1.0 - (a * g / ts) * t ** (0.5 * (a - 2.0)) \
-            * s ** (0.5 * b) * theta
-        base2 = 1.0 - (b * g / ts) * t ** (0.5 * a) \
-            * s ** (0.5 * (b - 2.0)) * theta
+        base1, base2 = 1.0 - c1, 1.0 - c2
         if base1 <= 0.0 or base2 <= 0.0:
             raise DivergenceError(
                 "iteration left the positive cone; theta outside the "
                 "contraction regime", constraint="positivity",
                 value=min(base1, base2))
-        t, s = base1 ** (1.0 / r), base2 ** (1.0 / r)
-        d = defect(t, s)
+        try:
+            t, s = base1 ** (1.0 / r), base2 ** (1.0 / r)
+            c1, c2, d = coupling(t, s)
+        except (OverflowError, ZeroDivisionError):
+            raise DivergenceError(
+                "iterate left the float range; theta outside the "
+                "contraction regime", constraint="float range",
+                value=(base1, base2)) from None
     if iterations == 0:
         iterations = 1  # theta = 0 resolves on the first evaluation
 
@@ -255,8 +258,7 @@ def energy_gap_vs_R(params: SystemParams, R_list,
 def continuation_branch(params_base: SystemParams, gamma_max: float,
                         step: float | None = None,
                         tol: float = 1e-12,
-                        cond_limit: float = 1e12,
-                        max_samples: int = 100_000) -> ContinuationPath:
+                        cond_limit: float = 1e12) -> ContinuationPath:
     """Trace (k(gamma), l(gamma)) from the decoupled point at gamma = 0.
 
     Euler predictor on the implicit derivative, Newton corrector with the
@@ -321,7 +323,7 @@ def continuation_branch(params_base: SystemParams, gamma_max: float,
         if samples[-1].jac_cond > cond_limit:
             termination = "fold"
             break
-        if len(samples) >= max_samples:
+        if len(samples) >= MAX_BRANCH_SAMPLES:
             termination = "stalled"
             break
         step = min(step * 1.2, max_step)

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DomainError, ResolutionError
 from .params import SystemParams
-from .spectral import (GridField, ResidualReport, integrate,
+from .spectral import (GridField, ResidualReport, _radius_sq, integrate,
                        pde_residual_single, seminorm)
 
 #: bubble scale relative to the box half-width when not given explicitly
@@ -44,6 +44,9 @@ class BubbleSpec:
     def __post_init__(self):
         if not self.epsilon > 0.0:
             raise DomainError("bubble scale must be positive",
+                              constraint="epsilon", value=self.epsilon)
+        if not math.isfinite(self.epsilon * self.epsilon):
+            raise DomainError("bubble scale squared overflows",
                               constraint="epsilon", value=self.epsilon)
         if self.kappa == 0.0:
             raise DomainError("bubble amplitude must be nonzero",
@@ -75,10 +78,10 @@ def bubble_eval(spec: BubbleSpec, params: SystemParams, x):
 def bubble_field(spec: BubbleSpec, params: SystemParams, N: int,
                  L: float) -> GridField:
     """Sample the bubble on the grid of [-L, L)^n."""
-    field = GridField(params.n, N, L, np.zeros(N ** params.n))
     decay = 0.5 * (params.n - 2.0 * params.s)
-    r2 = field.radius_sq(spec.center)
-    return field.like(spec.kappa * (spec.epsilon ** 2 + r2) ** (-decay))
+    r2 = _radius_sq(params.n, N, L, spec.center)
+    return GridField(params.n, N, L,
+                     spec.kappa * (spec.epsilon ** 2 + r2) ** (-decay))
 
 
 def shape_integral(n: int) -> float:
@@ -110,10 +113,14 @@ def _closed_form(n: int, s: float) -> float:
 
 
 def rayleigh_quotient(params: SystemParams, field: GridField) -> float:
-    """Discrete quotient seminorm / critical-norm^2 of an arbitrary field."""
+    """Discrete quotient seminorm / critical-norm^2 of an arbitrary field;
+    a critical norm that underflows to zero is a `ResolutionError`."""
     ts = params.two_star
     num = seminorm(field, params.s)
     den = integrate(field.like(np.abs(field.values) ** ts)) ** (2.0 / ts)
+    if not den > 0.0:
+        raise ResolutionError("critical norm underflows on this grid",
+                              constraint="critical_norm", value=den)
     return num / den
 
 
@@ -130,7 +137,7 @@ def sobolev_constant_spectral(params: SystemParams, L: float, N: int,
     value = rayleigh_quotient(params, bubble_field(spec, params, N, L))
     value_2L = rayleigh_quotient(params, bubble_field(spec, params, N, 2.0 * L))
     est = abs(value - value_2L)
-    if est > 0.1 * value:
+    if not est <= 0.1 * value:  # nan too: a seminorm that overflowed
         raise ResolutionError("box-doubling estimate exceeds 10% of the value",
                               constraint="est_error", value=est)
     return SobolevConstant(value=value, method="spectral_estimate",
@@ -154,9 +161,8 @@ def normalized_bubble_field(params: SystemParams, spec: BubbleSpec,
                             S_s: float, N: int, L: float) -> GridField:
     """Grid sample of the normalized ground state."""
     amp = ground_state_amplitude(params, spec, S_s)
-    unit = BubbleSpec(epsilon=spec.epsilon, center=spec.center, kappa=1.0)
-    raw = bubble_field(unit, params, N, L)
-    return raw.like(amp * raw.values)
+    return bubble_field(BubbleSpec(spec.epsilon, spec.center, kappa=amp),
+                        params, N, L)
 
 
 def residual_study(params: SystemParams, L: float, N: int, eps: float,

@@ -14,6 +14,8 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from . import algebraic, asymptotics, bubbles, regimes, spectral
 from .errors import CritsysError, DomainError
 from .params import PARAM_KEYS, SystemParams, make_params, params_from_dict
@@ -53,16 +55,10 @@ def dumps17(obj, indent=0) -> str:
     if isinstance(obj, (list, tuple)):
         items = ", ".join(dumps17(v, indent) for v in obj)
         return "[" + items + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
     if isinstance(obj, float):
         if not math.isfinite(obj):
             return json.dumps(str(obj))  # JSON has no nan or inf numbers
         return format(obj, ".17g")
-    if isinstance(obj, int):
-        return str(obj)
     return json.dumps(obj)
 
 
@@ -407,7 +403,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
     try:
-        _HANDLERS[args.command](args)
+        # non-finite values end in an error JSON; numpy's warnings are noise
+        with np.errstate(all="ignore"):
+            _HANDLERS[args.command](args)
     except CritsysError as exc:
         print(dumps17(exc.to_json()), file=sys.stderr)
         return exc.exit_code

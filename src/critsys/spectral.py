@@ -20,7 +20,6 @@ pollute least.
 from __future__ import annotations
 
 import functools
-import math
 import struct
 from dataclasses import dataclass
 
@@ -31,23 +30,6 @@ from .params import SystemParams
 
 _MAGIC = b"CRITSYS1"
 HEADER_BYTES = 32
-
-
-def singular_integral_constant(n: int, s: float) -> float:
-    """Normalizing constant of the principal-value integral form,
-
-        C(n, s) = 2^(2s) pi^(-n/2) Gamma((n+2s)/2) / Gamma(2-s) * s (1-s),
-
-    the reciprocal of int (1 - cos z_1)/|z|^(n+2s) dz.  Documented for
-    completeness only: the multiplier implementation used throughout is
-    exact on band-limited torus functions and never needs it.
-    """
-    if not (0.0 < s < 1.0 and n >= 1):
-        raise DomainError("need an integer n >= 1 and 0 < s < 1",
-                          constraint="n, s", value=(n, s))
-    return (2.0 ** (2.0 * s) * math.pi ** (-0.5 * n)
-            * math.gamma(0.5 * (n + 2.0 * s)) / math.gamma(2.0 - s)
-            * s * (1.0 - s))
 
 
 @dataclass
@@ -64,15 +46,7 @@ class GridField:
     values: np.ndarray
 
     def __post_init__(self):
-        if self.n not in (1, 2, 3):
-            raise DomainError("grid dimension must be 1, 2 or 3",
-                              constraint="n", value=self.n)
-        if self.N < 2 or (self.N & (self.N - 1)) != 0:
-            raise DomainError("N must be a power of two",
-                              constraint="N", value=self.N)
-        if not self.L > 0.0:
-            raise DomainError("L must be positive", constraint="L",
-                              value=self.L)
+        _check_grid(self.n, self.N, self.L)
         self.values = np.asarray(self.values, dtype=float)
         if self.values.size != self.N ** self.n:
             raise DomainError("value count does not match N^n",
@@ -91,9 +65,8 @@ class GridField:
 
     def radius_sq(self, center=None) -> np.ndarray:
         """|x - center|^2 on the grid; the center defaults to the origin."""
-        x = self.axis()
-        center = (0.0,) * self.n if center is None else center
-        return _axis_sum([(x - center[d]) ** 2 for d in range(self.n)])
+        return _radius_sq(self.n, self.N, self.L,
+                          (0.0,) * self.n if center is None else center)
 
     def like(self, values: np.ndarray) -> "GridField":
         return GridField(self.n, self.N, self.L, values)
@@ -104,6 +77,16 @@ def integrate(field: GridField) -> float:
     return field.h ** field.n * float(np.sum(field.values))
 
 
+def _check_grid(n: int, N: int, L: float) -> None:
+    if n not in (1, 2, 3):
+        raise DomainError("grid dimension must be 1, 2 or 3",
+                          constraint="n", value=n)
+    if N < 2 or (N & (N - 1)) != 0:
+        raise DomainError("N must be a power of two", constraint="N", value=N)
+    if not L > 0.0:
+        raise DomainError("L must be positive", constraint="L", value=L)
+
+
 def _axis(N: int, L: float) -> np.ndarray:
     """The N grid points of [-L, L), spaced h = 2L/N."""
     return -L + (2.0 * L / N) * np.arange(N)
@@ -111,13 +94,17 @@ def _axis(N: int, L: float) -> np.ndarray:
 
 def _axis_sum(terms) -> np.ndarray:
     """sum_d terms[d][i_d] over the grid indexed by (i_1, ..., i_n): each
-    1-D term laid along its own axis and added, in axis order, onto zeros."""
-    out = np.zeros(tuple(len(term) for term in terms))
-    for d, term in enumerate(terms):
-        shape = [1] * len(terms)
-        shape[d] = len(term)
-        out = out + term.reshape(shape)
-    return out
+    1-D term laid along its own axis and added in axis order, so only the
+    last addition is full size."""
+    return functools.reduce(np.add, np.ix_(*terms))
+
+
+def _radius_sq(n: int, N: int, L: float, center) -> np.ndarray:
+    """|x - center|^2 on the (N,)*n grid of [-L, L)^n, checked first so
+    that a bad grid is refused before anything of size N^n is built."""
+    _check_grid(n, N, L)
+    x = _axis(N, L)
+    return _axis_sum([(x - center[d]) ** 2 for d in range(n)])
 
 
 @functools.lru_cache(maxsize=8)
@@ -172,8 +159,7 @@ def core_window(field: GridField, fraction: float = 0.125) -> np.ndarray:
 
 @functools.lru_cache(maxsize=8)
 def _core_window(n: int, N: int, L: float, fraction: float) -> np.ndarray:
-    x = _axis(N, L)
-    mask = _axis_sum([x ** 2] * n) <= (fraction * L) ** 2
+    mask = _radius_sq(n, N, L, (0.0,) * n) <= (fraction * L) ** 2
     mask.flags.writeable = False
     return mask
 
@@ -188,11 +174,11 @@ class ResidualReport:
 def _core_report(lhs: np.ndarray, rhs: np.ndarray,
                  win: np.ndarray) -> ResidualReport:
     """Relative L2 and sup norms of lhs - rhs against rhs on the window;
-    a relative L2 norm above 0.5 is a `ResolutionError`."""
+    a relative L2 norm above 0.5 or nan is a `ResolutionError`."""
     rw, fw = (lhs - rhs)[win], rhs[win]
     rel_l2 = float(np.sqrt(np.sum(rw ** 2) / np.sum(fw ** 2)))
     rel_sup = float(np.max(np.abs(rw)) / np.max(np.abs(fw)))
-    if rel_l2 > 0.5:
+    if not rel_l2 <= 0.5:
         raise ResolutionError("core residual exceeds 0.5; grid unusable",
                               constraint="rel_l2_core", value=rel_l2)
     return ResidualReport(rel_l2_core=rel_l2, rel_sup_core=rel_sup)

@@ -117,6 +117,14 @@ def test_fixed_point_divergence_outside_regime():
         solve_tR_sR(p, 0.0327)
 
 
+def test_fixed_point_overflowing_map_is_divergence():
+    # 2* = 2.0134: the map raises (1 - coupling) to the power 2/(2*-2) =
+    # 149.5 and leaves the float range on its first step
+    p = make_params(3, 0.01, 1.005, 1.0, 1.0, -2.0)
+    with pytest.raises(DivergenceError):
+        solve_tR_sR(p, 0.05)
+
+
 def test_linearization_constants():
     B, c = perturbation_constants(P_NEG)
     a, b, ts, g = P_NEG.alpha, P_NEG.beta, P_NEG.two_star, P_NEG.gamma

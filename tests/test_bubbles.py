@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -9,16 +10,23 @@ from critsys.bubbles import (BubbleSpec, bubble_critical_norm, bubble_eval,
                              residual_study, shape_integral,
                              sobolev_constant_closed_form,
                              sobolev_constant_spectral)
-from critsys.errors import DomainError
+from critsys.errors import DomainError, ResolutionError
 from critsys.params import make_params
 from critsys.spectral import integrate
 
 P3 = make_params(3, 0.5, 1.5, 1.0, 1.0, 1.0)
 P1 = make_params(1, 0.4, 5.0, 1.0, 1.0, 8.0)
+P2 = make_params(2, 0.3, 1.2, 1.0, 1.0, 0.0)
 
 # frozen from a 50-digit Gamma-function evaluation (mpmath):
 # 2^(2s) pi^s G((n+2s)/2)/G((n-2s)/2) (G(n/2)/G(n))^(2s/n) at n=3, s=1/2
 S3_REFERENCE = 2.7025676900634943
+
+#: sha256 of the little-endian float64 samples of
+#: normalized_bubble_field(P3, BubbleSpec(0.7, (0.5, -1.0, 0.25), kappa=-2.0),
+#: S, 16, 3.0) with S the closed-form constant (numpy 2.4.6, x86-64)
+NORMALIZED_FIELD_SHA256 = \
+    "9ccec3e56ab318cd29be9f442d82565bd882c7415f177b2c29ea8a5f840cbc09"
 
 
 # ---------------------------------------------------------------------------
@@ -62,10 +70,44 @@ def test_bubble_spec_validation():
         BubbleSpec(epsilon=1.0, center=(0.0,), kappa=0.0)
 
 
+def test_bubble_spec_rejects_scale_with_overflowing_square():
+    # eps^2 enters every sample; an eps whose square leaves the float range
+    # (about 1.34e154 and up) is a domain error, not a raw OverflowError
+    assert BubbleSpec(epsilon=1.3e154, center=(0.0,)).epsilon == 1.3e154
+    for eps in (1.4e154, 1e300, math.inf):
+        with pytest.raises(DomainError) as info:
+            BubbleSpec(epsilon=eps, center=(0.0,))
+        assert info.value.constraint == "epsilon"
+
+
 def test_dimension_mismatch():
     spec = BubbleSpec(epsilon=1.0, center=(0.0, 0.0, 0.0))
     with pytest.raises(DomainError):
         bubble_eval(spec, P3, (1.0, 2.0))
+
+
+# ---------------------------------------------------------------------------
+# grid sampler
+
+@pytest.mark.parametrize("p", [P1, P2, P3], ids=["n1", "n2", "n3"])
+def test_bubble_field_equals_pointwise_definition(p):
+    # off-centre, negative amplitude: the grid sample is the pointwise
+    # definition at every grid point, bit for bit
+    spec = BubbleSpec(0.7, (0.5, -1.0, 0.25)[:p.n], kappa=-2.0)
+    N, L = 16, 3.0
+    x = -L + (2.0 * L / N) * np.arange(N)
+    pts = np.stack(np.meshgrid(*[x] * p.n, indexing="ij"), axis=-1)
+    field = bubble_field(spec, p, N, L)
+    assert field.values.shape == (N,) * p.n
+    assert np.array_equal(field.values, bubble_eval(spec, p, pts))
+
+
+def test_normalized_bubble_field_golden_digest():
+    S = sobolev_constant_closed_form(P3).value
+    U = normalized_bubble_field(
+        P3, BubbleSpec(0.7, (0.5, -1.0, 0.25), kappa=-2.0), S, 16, 3.0)
+    digest = hashlib.sha256(U.values.astype("<f8").tobytes()).hexdigest()
+    assert digest == NORMALIZED_FIELD_SHA256
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +162,14 @@ def test_spectral_slow_decay_reports_resolution_error():
 
     with pytest.raises(ResolutionError):
         sobolev_constant_spectral(P1, L=60.0, N=512)
+
+
+def test_quotient_with_underflowed_critical_norm_is_resolution_error():
+    # a bubble of scale 1e100 is about 1e-200 on the box: its critical
+    # power integral underflows to zero
+    f = bubble_field(BubbleSpec(1e100, (0.0,) * 3), P3, 16, 10.0)
+    with pytest.raises(ResolutionError):
+        rayleigh_quotient(P3, f)
 
 
 def test_quotient_amplitude_invariance():

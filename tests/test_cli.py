@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -11,6 +12,11 @@ from critsys.cli import dumps17, main
 from critsys.spectral import load_field
 
 DATA = Path(__file__).parent / "data"
+
+#: sha256 of the file `verify --dump` writes for the write_params defaults
+#: at N = 32, L = 8, eps = 1 (numpy 2.4.6, x86-64)
+VERIFY_DUMP_SHA256 = \
+    "176f80fddfbb5df2f169f9423c0314812ce9b8f4c59445f4eee483d1397a6359"
 
 
 def write_params(tmp_path, **fields):
@@ -207,6 +213,77 @@ def test_verify_command_with_dump(tmp_path, capsys):
     assert np.all(field.values > 0.0)
 
 
+def test_verify_dump_golden_digest(tmp_path, capsys):
+    params = write_params(tmp_path)
+    dump = tmp_path / "field.bin"
+    code, _, _ = run_main(capsys, "verify", "--params", params, "--N", "32",
+                          "--L", "8", "--dump", str(dump))
+    assert code == 0
+    assert hashlib.sha256(dump.read_bytes()).hexdigest() == VERIFY_DUMP_SHA256
+
+
+@pytest.mark.parametrize("command", [
+    ["verify", "--n", "3", "--s", "0.5", "--alpha", "1.5", "--mu1", "1",
+     "--mu2", "1", "--gamma", "1", "--N", "16", "--L", "4"],
+    ["sobolev", "--n", "3", "--s", "0.5", "--N", "16"],
+    ["perturb", "--n", "3", "--s", "0.5", "--alpha", "1.5", "--mu1", "1",
+     "--mu2", "1", "--gamma=-1", "--R", "10", "--N", "16"],
+], ids=["verify", "sobolev", "perturb"])
+def test_bubble_scale_with_overflowing_square_is_domain_error(capsys,
+                                                              command):
+    code, out, err = run_main(capsys, *command, "--eps", "1.4e154")
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert isinstance(payload, dict)
+    assert (payload["error"], payload["constraint"]) == ("domain", "epsilon")
+
+
+def test_verify_underflowed_residual_is_resolution_error(capsys):
+    # the profile is about 1e-100 on the box, so both residual norms
+    # underflow and their ratio is nan: no verdict, not a pass
+    code, out, err = run_main(capsys, "verify", "--n", "3", "--s", "0.5",
+                              "--alpha", "1.5", "--mu1", "1", "--mu2", "1",
+                              "--gamma", "1", "--N", "16", "--L", "4",
+                              "--eps", "1e100")
+    assert code == 2 and out == ""
+    payload = json.loads(err)
+    assert isinstance(payload, dict)
+    assert (payload["error"], payload["value"]) == ("resolution", "nan")
+
+
+def test_sobolev_underflowed_norm_is_resolution_error(capsys):
+    code, out, err = run_main(capsys, "sobolev", "--n", "3", "--s", "0.5",
+                              "--N", "32", "--eps", "1e100")
+    assert code == 2 and out == ""
+    payload = json.loads(err)
+    assert isinstance(payload, dict) and payload["error"] == "resolution"
+
+
+def test_sobolev_non_finite_estimate_is_resolution_error(capsys):
+    # on a box of half-width 1e-300 the multiplier overflows and the
+    # quotient is nan: no estimate, not a pass
+    code, out, err = run_main(capsys, "sobolev", "--n", "1", "--s", "0.3",
+                              "--N", "16", "--L", "1e-300", "--eps", "0.5")
+    assert code == 2 and out == ""
+    payload = json.loads(err)
+    assert (payload["error"], payload["value"]) == ("resolution", "nan")
+
+
+@pytest.mark.parametrize("extra", [["--L", "4", "--eps", "1e-200"],
+                                   ["--L", "1e-300"], ["--L", "inf"]],
+                         ids=["eps-1e-200", "L-1e-300", "L-inf"])
+def test_error_stderr_holds_only_the_json(extra):
+    # a subprocess, because pytest captures warnings: numpy's
+    # RuntimeWarnings on the way to the error must not reach stderr
+    proc = subprocess.run(
+        [sys.executable, "-m", "critsys.cli", "verify", "--n", "3", "--s",
+         "0.5", "--alpha", "1.5", "--mu1", "1", "--mu2", "1", "--gamma", "1",
+         "--N", "16", *extra], capture_output=True, text=True)
+    assert proc.returncode == 1 and proc.stdout == ""
+    payload = json.loads(proc.stderr)
+    assert (payload["error"], payload["constraint"]) == ("domain", "finite")
+
+
 def test_verify_negative_gamma_single_only(tmp_path, capsys):
     params = write_params(tmp_path, gamma=-1.0)
     code, out, _ = run_main(capsys, "verify", "--params", params,
@@ -224,6 +301,14 @@ def test_perturb_command(tmp_path, capsys):
     rows = json.loads(out)["rows"]
     assert len(rows) == 2
     assert rows[0]["gap"] > rows[1]["gap"] > 0.0
+
+
+def test_perturb_matches_golden_output(capsys):
+    code, out, _ = run_main(capsys, "perturb", "--n", "2", "--s", "0.3",
+                            "--alpha", "1.2", "--mu1", "1", "--mu2", "1.5",
+                            "--gamma=-0.3", "--R", "10,20", "--N", "64")
+    assert code == 0
+    assert out == (DATA / "golden_perturb.json").read_text()
 
 
 def test_perturb_wrong_sign_exit(tmp_path, capsys):

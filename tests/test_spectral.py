@@ -270,23 +270,3 @@ def test_load_rejects_bad_magic(tmp_path):
     path.write_bytes(b"NOTMAGIC" + b"\0" * 24)
     with pytest.raises(DomainError):
         load_field(str(path))
-
-
-def test_singular_integral_constant_reference():
-    from scipy.integrate import quad
-
-    from critsys.spectral import singular_integral_constant
-
-    # known half-order value in one dimension: 1/pi
-    assert singular_integral_constant(1, 0.5) \
-        == pytest.approx(1.0 / np.pi, rel=1e-12)
-    # independent quadrature of the defining integral over the line,
-    # split at 1 to tame the oscillatory tail
-    s = 0.3
-    near, _ = quad(lambda z: (1 - np.cos(z)) / z ** (1 + 2 * s), 1e-12, 1.0)
-    tail_power = 1.0 / (2.0 * s)  # exact integral of z^(-1-2s) on [1, inf)
-    tail_cos, _ = quad(lambda z: z ** (-1 - 2 * s), 1.0, np.inf,
-                       weight="cos", wvar=1.0)
-    total = 2.0 * (near + tail_power - tail_cos)
-    assert singular_integral_constant(1, s) == pytest.approx(1.0 / total,
-                                                             rel=1e-4)
