@@ -52,6 +52,11 @@ SLOPE_GRID_POINTS = 10_000
 DOMINATION_SLACK = 1e-9
 
 
+def _scalar(out):
+    """``out`` as a Python float when it is 0-d, else unchanged."""
+    return out if np.ndim(out) else float(out)
+
+
 def _powp(x, p):
     """x**p for strictly positive x (0 allowed when p >= 0), via exp/log."""
     x = np.asarray(x, dtype=float)
@@ -60,7 +65,7 @@ def _powp(x, p):
     else:
         with np.errstate(divide="ignore"):
             out = np.exp(p * np.log(x))
-    return out if out.ndim else float(out)
+    return _scalar(out)
 
 
 @dataclass(frozen=True)
@@ -115,31 +120,48 @@ def _check_positive(name, v, allow_zero=False):
 
 def eval_F1(params: SystemParams, k, l):
     """First coupling function; k > 0 (k = 0 allowed when alpha >= 2), l >= 0."""
-    return _coupling(params, "k", params.mu1, params.alpha, k, l,
-                     0.5 * (params.alpha - 2.0), 0.5 * params.beta)
+    _check_positive("k", k, allow_zero=params.alpha >= 2.0)
+    _check_positive("l", l, allow_zero=True)
+    return _scalar(_system(params, k, l)[0])
 
 
 def eval_F2(params: SystemParams, k, l):
     """Second coupling function; l > 0 (l = 0 allowed when beta >= 2), k >= 0."""
-    return _coupling(params, "l", params.mu2, params.beta, k, l,
-                     0.5 * params.alpha, 0.5 * (params.beta - 2.0))
+    _check_positive("l", l, allow_zero=params.beta >= 2.0)
+    _check_positive("k", k, allow_zero=True)
+    return _scalar(_system(params, k, l)[1])
 
 
-def _coupling(params, own, mu, e, k, l, pk, pl):
-    """mu x^((2*-2)/2) + (e gamma/2*) k^pk l^pl - 1 with x the argument named
-    ``own`` (k in F1, l in F2), which is checked first.  The k power
-    multiplies first in both, which keeps each function's rounding."""
-    ts = params.two_star
-    karr = np.asarray(k, dtype=float)
-    larr = np.asarray(l, dtype=float)
-    x, other, y = (karr, "l", larr) if own == "k" else (larr, "k", karr)
-    _check_positive(own, x, allow_zero=e >= 2.0)
-    _check_positive(other, y, allow_zero=True)
-    with np.errstate(divide="ignore"):
-        out = (mu * _powp(x, 0.5 * (ts - 2.0))
-               + (e * params.gamma / ts) * _powp(karr, pk) * _powp(larr, pl)
-               - 1.0)
-    return out if np.ndim(out) else float(out)
+def _system(params, k, l):
+    """F1, F2, their Jacobian in (k, l) and their gradient in gamma at
+    unchecked (k, l), or at arrays of them.
+
+    log k and log l are taken once; every power is exp(p log x), the
+    product `_powp` forms, with x**0 = 1 also at x = 0 (F1(0, l) at
+    alpha = 2).  Non-finite entries are left in the result unwarned.  The
+    k power multiplies first in every coupling term.
+    """
+    a, b, ts, g = params.alpha, params.beta, params.two_star, params.gamma
+    r = 0.5 * (ts - 2.0)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        log_k = np.log(np.asarray(k, dtype=float))
+        log_l = np.log(np.asarray(l, dtype=float))
+        k_r, k_r1, k_a, k_a2, k_a4 = (
+            np.exp(p * log_k) if p != 0.0 else np.ones_like(log_k)
+            for p in (r, r - 1.0, 0.5 * a, 0.5 * (a - 2.0), 0.5 * (a - 4.0)))
+        l_r, l_r1, l_b, l_b2, l_b4 = (
+            np.exp(p * log_l) if p != 0.0 else np.ones_like(log_l)
+            for p in (r, r - 1.0, 0.5 * b, 0.5 * (b - 2.0), 0.5 * (b - 4.0)))
+        ca, cb = a * g / ts, b * g / ts
+        f1 = params.mu1 * k_r + ca * k_a2 * l_b - 1.0
+        f2 = params.mu2 * l_r + cb * k_a * l_b2 - 1.0
+        jac = np.array([
+            [params.mu1 * r * k_r1 + ca * 0.5 * (a - 2.0) * k_a4 * l_b,
+             ca * 0.5 * b * k_a2 * l_b2],
+            [cb * 0.5 * a * k_a2 * l_b2,
+             params.mu2 * r * l_r1 + cb * 0.5 * (b - 2.0) * k_a * l_b4]])
+        grad = np.array([(a / ts) * k_a2 * l_b, (b / ts) * k_a * l_b2])
+    return f1, f2, jac, grad
 
 
 def _require_positive_gamma(params):
@@ -177,8 +199,7 @@ def _curve(params, k, name):
     q = 1.0 - params.mu1 * _powp(karr, 0.5 * (ts - 2.0))
     q = np.maximum(q, 0.0)  # endpoint roundoff only
     coef = _powp(ts / (a * params.gamma), 2.0 / b)
-    out = coef * _powp(karr, (2.0 - a) / b) * _powp(q, 2.0 / b)
-    return out if np.ndim(out) else float(out)
+    return _scalar(coef * _powp(karr, (2.0 - a) / b) * _powp(q, 2.0 / b))
 
 
 def eval_f(params: SystemParams, k):
@@ -198,8 +219,7 @@ def eval_f(params: SystemParams, k):
     """
     karr = _curve_argument(params, k)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        out = _f_core(_f_coefficients([params])[:, 0], karr)
-    return out if np.ndim(out) else float(out)
+        return _scalar(_f_core(_f_coefficients([params])[:, 0], karr))
 
 
 def _f_coefficients(points) -> np.ndarray:
@@ -263,34 +283,17 @@ def bisect(f, a, b, xtol=BISECT_XTOL, rtol=BISECT_RTOL):
         dm = np.where(done, 0.0, dm)
         if done.all():
             break
-    return xa if xa.ndim else float(xa)
+    return _scalar(xa)
 
 
 def jacobian(params: SystemParams, k: float, l: float) -> np.ndarray:
     """Analytic Jacobian of (F1, F2) with respect to (k, l)."""
-    a, b, ts = params.alpha, params.beta, params.two_star
-    g = params.gamma
-    r = 0.5 * (ts - 2.0)
-    d11 = (params.mu1 * r * _powp(k, r - 1.0)
-           + (a * g / ts) * 0.5 * (a - 2.0) * _powp(k, 0.5 * (a - 4.0))
-           * _powp(l, 0.5 * b))
-    d12 = (a * g / ts) * 0.5 * b * _powp(k, 0.5 * (a - 2.0)) \
-        * _powp(l, 0.5 * (b - 2.0))
-    d21 = (b * g / ts) * 0.5 * a * _powp(k, 0.5 * (a - 2.0)) \
-        * _powp(l, 0.5 * (b - 2.0))
-    d22 = (params.mu2 * r * _powp(l, r - 1.0)
-           + (b * g / ts) * 0.5 * (b - 2.0) * _powp(k, 0.5 * a)
-           * _powp(l, 0.5 * (b - 4.0)))
-    return np.array([[d11, d12], [d21, d22]])
+    return _system(params, k, l)[2]
 
 
 def gamma_gradient(params: SystemParams, k: float, l: float) -> np.ndarray:
     """Partial derivatives of (F1, F2) with respect to gamma."""
-    a, b, ts = params.alpha, params.beta, params.two_star
-    return np.array([
-        (a / ts) * _powp(k, 0.5 * (a - 2.0)) * _powp(l, 0.5 * b),
-        (b / ts) * _powp(k, 0.5 * a) * _powp(l, 0.5 * (b - 2.0)),
-    ])
+    return _system(params, k, l)[3]
 
 
 def newton_polish(params: SystemParams, k: float, l: float, tol: float,
@@ -305,10 +308,10 @@ def newton_polish(params: SystemParams, k: float, l: float, tol: float,
     if k <= 0.0 or l <= 0.0:
         return False, float(k), float(l)
     for _ in range(max_iter):
-        F = np.array([eval_F1(params, k, l), eval_F2(params, k, l)])
+        f1, f2, J, _ = _system(params, k, l)
+        F = np.array([f1, f2])
         if np.max(np.abs(F)) <= tol:
             return True, float(k), float(l)
-        J = jacobian(params, k, l)
         try:
             step = np.linalg.solve(J, F)
         except np.linalg.LinAlgError:
@@ -333,9 +336,8 @@ def _prescan(params):
     in case A (2s < n < 4s, alpha, beta > 2) rather than B."""
     if params.gamma == 0.0:
         k0, l0 = k_sup(params), l_sup(params)
-        return CouplingSolution(k=k0, l=l0,
-                                res1=abs(eval_F1(params, k0, l0)),
-                                res2=abs(eval_F2(params, k0, l0)),
+        res1, res2 = (abs(float(f)) for f in _system(params, k0, l0)[:2])
+        return CouplingSolution(k=k0, l=l0, res1=res1, res2=res2,
                                 method="decoupled")
     if params.gamma < 0.0:
         return DomainError("no root finding for gamma < 0 (minimum not "
@@ -461,8 +463,7 @@ def _certified(params, k, l, tol, method) -> CouplingSolution:
     """Polish (k, l) with Newton to 0.05 tol and certify both residuals
     within tol."""
     _, k, l = newton_polish(params, k, l, 0.05 * tol)
-    res1 = abs(eval_F1(params, k, l))
-    res2 = abs(eval_F2(params, k, l))
+    res1, res2 = (abs(float(f)) for f in _system(params, k, l)[:2])
     if res1 > tol or res2 > tol:
         raise NumericalError("residual tolerance not met after polish",
                              constraint="residual", value=max(res1, res2))
@@ -478,8 +479,7 @@ def ratio_f1(params: SystemParams, x):
     r = 0.5 * (ts - 2.0)
     x = np.asarray(x, dtype=float)
     den = params.mu1 * _powp(x, r) + (a * params.gamma / ts) * _powp(x, 0.5 * (a - 2.0))
-    out = _powp(x + 1.0, r) / den
-    return out if np.ndim(out) else float(out)
+    return _scalar(_powp(x + 1.0, r) / den)
 
 
 def ratio_f2(params: SystemParams, x):
@@ -488,8 +488,7 @@ def ratio_f2(params: SystemParams, x):
     r = 0.5 * (ts - 2.0)
     x = np.asarray(x, dtype=float)
     den = params.mu2 + (b * params.gamma / ts) * _powp(x, 0.5 * a)
-    out = _powp(x + 1.0, r) / den
-    return out if np.ndim(out) else float(out)
+    return _scalar(_powp(x + 1.0, r) / den)
 
 
 def solve_ratio_reduction(params: SystemParams,
@@ -552,9 +551,8 @@ def curve_lprime(params: SystemParams, k):
     k = np.asarray(k, dtype=float)
     coef = _powp(ts * params.mu1 / (a * params.gamma), 2.0 / b)
     mid = np.maximum(1.0 / params.mu1 - _powp(k, r), 0.0)
-    out = (coef * _powp(k, (2.0 - ts) / b) * _powp(mid, (2.0 - b) / b)
-           * ((2.0 - a) / (params.mu1 * b) - _powp(k, r)))
-    return out if np.ndim(out) else float(out)
+    return _scalar(coef * _powp(k, (2.0 - ts) / b) * _powp(mid, (2.0 - b) / b)
+                   * ((2.0 - a) / (params.mu1 * b) - _powp(k, r)))
 
 
 def curve_diagnostics(params: SystemParams) -> CurveDiagnostics:
@@ -631,8 +629,7 @@ def check_domination(params: SystemParams, solution: CouplingSolution,
     lo_d, hi_d = l0 / 10.0, 10.0 * max(l0, l_sup(params))
     c = np.exp(rng.uniform(math.log(lo_c), math.log(hi_c), samples))
     d = np.exp(rng.uniform(math.log(lo_d), math.log(hi_d), samples))
-    f1 = eval_F1(params, c, d)
-    f2 = eval_F2(params, c, d)
+    f1, f2, _, _ = _system(params, c, d)
     feas = (f1 >= 0.0) & (f2 >= 0.0)
     margins = c + d - (k0 + l0)
     n_feas = int(np.count_nonzero(feas))
@@ -642,8 +639,7 @@ def check_domination(params: SystemParams, solution: CouplingSolution,
     worst_margin = float(margins[worst_idx])
     worst_point = (float(c[worst_idx]), float(d[worst_idx]))
     bad = feas & (margins < -DOMINATION_SLACK)
-    n_bad = int(np.count_nonzero(bad))
-    if n_bad:
+    if bad.any():
         i = np.flatnonzero(bad)[0]
         raise CounterexampleError(
             "feasible pair undercuts the root in c + d",

@@ -20,7 +20,8 @@ import numpy as np
 from . import algebraic, regimes
 from .bubbles import BubbleSpec, bubble_field, ground_state_amplitude, \
     sobolev_constant_closed_form
-from .errors import DivergenceError, DomainError, QuadratureError
+from .errors import (DivergenceError, DomainError, NumericalError,
+                     QuadratureError, ResolutionError)
 from .params import SystemParams
 
 #: conservative rejection threshold for the overlap ratio
@@ -109,6 +110,9 @@ def _theta_on_box(params: SystemParams, R: float, quad: OverlapQuadrature,
         center = tuple((sign * R / 2.0 if d == 0 else 0.0) + shift[d]
                        for d in range(params.n))
         kappa = mu ** (-1.0 / (ts - 2.0)) * amp  # amp is center-free
+        if kappa == 0.0:
+            raise NumericalError("bubble amplitude underflows to 0",
+                                 constraint="kappa", value=(mu, amp))
         return bubble_field(BubbleSpec(quad.eps, center, kappa), params,
                             quad.N, L)
 
@@ -116,6 +120,9 @@ def _theta_on_box(params: SystemParams, R: float, quad: OverlapQuadrature,
     hn = w1.h ** params.n
     num = hn * float(np.sum(w1.values ** a * w2.values ** b))
     den = hn * params.mu1 * float(np.sum(w1.values ** ts))
+    if not den > 0.0:
+        raise ResolutionError("critical integral underflows on this grid",
+                              constraint="critical_norm", value=den)
     return num / den
 
 
@@ -282,26 +289,24 @@ def continuation_branch(params_base: SystemParams, gamma_max: float,
         step = thr_b / 100.0
     max_step = thr_b / 25.0
 
-    k = algebraic.k_sup(p0)
-    l = algebraic.l_sup(p0)
+    k, l = algebraic.k_sup(p0), algebraic.l_sup(p0)
     gamma = 0.0
     samples = [_accept(p0.replace_gamma(0.0), gamma, k, l)]
     termination = "completed"
 
     while gamma < gamma_max:
         dgamma = min(step, gamma_max - gamma)
-        advanced = False
-        while dgamma >= 1e-12 * max(1.0, gamma_max):
+        # the Euler velocity at (gamma, k, l), which every halving shares
+        p_here = p0.replace_gamma(gamma)
+        try:
+            vel = np.linalg.solve(algebraic.jacobian(p_here, k, l),
+                                  -algebraic.gamma_gradient(p_here, k, l))
+        except np.linalg.LinAlgError:
+            vel = np.zeros(2)
+        # halve the step until the corrector converges, else it stalls
+        while (dgamma >= 1e-12 * max(1.0, gamma_max)
+               and gamma + dgamma > gamma):
             gamma_next = gamma + dgamma
-            if gamma_next <= gamma:
-                break  # step below float resolution
-            p_here = p0.replace_gamma(gamma)
-            J = algebraic.jacobian(p_here, k, l)
-            rhs = -algebraic.gamma_gradient(p_here, k, l)
-            try:
-                vel = np.linalg.solve(J, rhs)
-            except np.linalg.LinAlgError:
-                vel = np.zeros(2)
             k_pred, l_pred = k + vel[0] * dgamma, l + vel[1] * dgamma
             p_next = p0.replace_gamma(gamma_next)
             ok, k_new, l_new = algebraic.newton_polish(
@@ -309,10 +314,9 @@ def continuation_branch(params_base: SystemParams, gamma_max: float,
             if ok:
                 gamma, k, l = gamma_next, k_new, l_new
                 samples.append(_accept(p_next, gamma, k, l))
-                advanced = True
                 break
             dgamma *= 0.5
-        if not advanced:
+        else:
             # a stall with exploding conditioning is a fold: the cond_limit
             # itself is unreachable in double precision because the step
             # underflows while cond grows only like 1/sqrt(distance)
@@ -338,12 +342,12 @@ def continuation_branch(params_base: SystemParams, gamma_max: float,
 
 
 def _accept(params, gamma, k, l) -> BranchSample:
-    res = max(abs(algebraic.eval_F1(params, k, l)),
-              abs(algebraic.eval_F2(params, k, l)))
+    f1, f2, J, _ = algebraic._system(params, k, l)
+    res = float(max(abs(f1), abs(f2)))
     if res > 1e-10:
         raise DivergenceError("accepted sample violates the residual bound",
                               constraint="residual", value=res)
-    cond = float(np.linalg.cond(algebraic.jacobian(params, k, l)))
+    cond = float(np.linalg.cond(J))
     ok = regimes.energy_ordering_check(params, k, l)
     return BranchSample(gamma=float(gamma), k=float(k), l=float(l),
                         jac_cond=cond, ordering_ok=ok)

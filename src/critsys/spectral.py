@@ -85,6 +85,11 @@ def _check_grid(n: int, N: int, L: float) -> None:
         raise DomainError("N must be a power of two", constraint="N", value=N)
     if not L > 0.0:
         raise DomainError("L must be positive", constraint="L", value=L)
+    with np.errstate(over="ignore"):
+        cell = np.float64(2.0 * L / N) ** n  # what h ** n gives, or inf
+    if L < np.inf and not (np.isfinite(L * L) and np.isfinite(cell)):
+        raise DomainError("L^2 or the cell volume (2L/N)^n overflows",
+                          constraint="L", value=L)
 
 
 def _axis(N: int, L: float) -> np.ndarray:

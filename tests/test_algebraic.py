@@ -11,8 +11,9 @@ from critsys.algebraic import (BISECT_RTOL, BISECT_XTOL, CouplingSolution,
                                curve_k_of_l, curve_l_of_k, curve_lprime,
                                eval_F1, eval_F2, eval_f, find_k0_l0,
                                find_k0_l0_batch, finite_difference_lprime,
-                               jacobian, k_sup, l_sup, newton_polish, ratio_f1,
-                               ratio_f2, solve_ratio_reduction)
+                               gamma_gradient, jacobian, k_sup, l_sup,
+                               newton_polish, ratio_f1, ratio_f2,
+                               solve_ratio_reduction)
 from critsys.errors import (CounterexampleError, CritsysError, DomainError,
                             MonotonicityViolationError, NoSignChangeError,
                             NumericalError)
@@ -81,8 +82,8 @@ def whole_box_params(rng):
 
 
 def test_F1_F2_bit_identical_to_explicit_expressions():
-    # the expressions F1 and F2 had before they shared one implementation;
-    # each keeps its k-power-first product order
+    # the expressions F1, F2, J and dF/dgamma had before they shared one
+    # implementation; each keeps its k-power-first product order
     powp = algebraic._powp
     rng = np.random.default_rng(2024)
     for _ in range(2000):
@@ -97,6 +98,28 @@ def test_F1_F2_bit_identical_to_explicit_expressions():
               * powp(l, 0.5 * (b - 2.0)) - 1.0)
         assert eval_F1(p, k, l).hex() == f1.hex()
         assert eval_F2(p, k, l).hex() == f2.hex()
+        g = p.gamma
+        want_J = [
+            (p.mu1 * r * powp(k, r - 1.0)
+             + (a * g / ts) * 0.5 * (a - 2.0) * powp(k, 0.5 * (a - 4.0))
+             * powp(l, 0.5 * b)),
+            (a * g / ts) * 0.5 * b * powp(k, 0.5 * (a - 2.0))
+            * powp(l, 0.5 * (b - 2.0)),
+            (b * g / ts) * 0.5 * a * powp(k, 0.5 * (a - 2.0))
+            * powp(l, 0.5 * (b - 2.0)),
+            (p.mu2 * r * powp(l, r - 1.0)
+             + (b * g / ts) * 0.5 * (b - 2.0) * powp(k, 0.5 * a)
+             * powp(l, 0.5 * (b - 4.0)))]
+        want_grad = [(a / ts) * powp(k, 0.5 * (a - 2.0)) * powp(l, 0.5 * b),
+                     (b / ts) * powp(k, 0.5 * a) * powp(l, 0.5 * (b - 2.0))]
+        got = [*jacobian(p, k, l).ravel(), *gamma_gradient(p, k, l)]
+        assert [float(x).hex() for x in got] == \
+            [x.hex() for x in want_J + want_grad]
+        # the array path agrees with the scalar one
+        assert [x.hex() for x in eval_F1(p, np.full(3, k), l)] == \
+            [f1.hex()] * 3
+        assert [x.hex() for x in eval_F2(p, k, np.full(3, l))] == \
+            [f2.hex()] * 3
 
 
 def test_F_domain_errors_name_their_argument():

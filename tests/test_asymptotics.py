@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -11,8 +12,14 @@ from critsys.asymptotics import (OverlapQuadrature, contraction_ball,
 from critsys.errors import (DivergenceError, DomainError, NumericalError,
                             QuadratureError)
 from critsys.params import make_params
+from critsys.regimes import gamma_threshold_B
 
 from conftest import rng_params
+
+#: sha256 over the samples, ends and brackets of the eight seeded branches of
+#: test_branch_endings_golden_digest (numpy 2.4.6, x86-64)
+BRANCH_DIGEST_SHA256 = \
+    "85cf8a514ce1853e5baf5b8dce73a7d6c2945f4f741c18054ec993880957cc99"
 
 P_NEG = make_params(3, 0.5, 1.5, 1.0, 2.0, -1.0)
 P_SYM = make_params(3, 0.5, 1.5, 1.0, 1.0, 0.3)
@@ -262,6 +269,28 @@ def test_branch_genuine_fold_for_asymmetric_strengths():
     assert last.jac_cond > 1e4
     gammas = [s.gamma for s in path.samples]
     assert all(b > a for a, b in zip(gammas, gammas[1:]))
+
+
+def test_branch_endings_golden_digest():
+    # regime-B branches to 0.999 gamma_B with mu2/mu1 = 1, 1.5, 2, 2.6 or 4
+    # by seed; the seeds are picked so that every ending occurs
+    digest = hashlib.sha256()
+    ends = []
+    for seed in (0, 16, 1, 12, 8, 19, 31, 4):
+        raw = rng_params(np.random.default_rng(seed), regime="B")
+        raw["mu2"] = (1.0, 1.5, 2.0, 2.6, 4.0)[seed % 5] * raw["mu1"]
+        p0 = make_params(gamma=0.0, **raw)
+        path = continuation_branch(p0, 0.999 * gamma_threshold_B(p0))
+        for s in path.samples:
+            digest.update(f"{s.gamma.hex()} {s.k.hex()} {s.l.hex()} "
+                          f"{s.jac_cond.hex()} {s.ordering_ok}\n".encode())
+        bracket = path.gamma1_bracket
+        digest.update(f"{path.termination} "
+                      f"{bracket and tuple(g.hex() for g in bracket)}\n"
+                      .encode())
+        ends.append(path.termination)
+    assert ends == ["completed"] * 2 + ["fold"] * 4 + ["stalled"] * 2
+    assert digest.hexdigest() == BRANCH_DIGEST_SHA256
 
 
 def test_branch_rejects_wrong_regime():

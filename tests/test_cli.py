@@ -238,6 +238,49 @@ def test_bubble_scale_with_overflowing_square_is_domain_error(capsys,
     assert (payload["error"], payload["constraint"]) == ("domain", "epsilon")
 
 
+PERTURB_NEG = ["perturb", "--n", "3", "--s", "0.5", "--alpha", "1.5",
+               "--mu1", "1", "--mu2", "1.5", "--gamma=-1", "--N", "8"]
+
+
+@pytest.mark.parametrize("command", [
+    ["verify", "--n", "3", "--s", "0.5", "--alpha", "1.5", "--mu1", "1",
+     "--mu2", "1", "--gamma=-1", "--N", "8", "--L", "1e200"],
+    ["sobolev", "--n", "2", "--s", "0.3", "--N", "16", "--L", "1e200",
+     "--eps", "1"],
+    PERTURB_NEG + ["--eps", "1e150", "--R", "10"],
+    PERTURB_NEG + ["--R", "1e300"],
+], ids=["verify-L", "sobolev-L", "perturb-eps", "perturb-R"])
+def test_box_beyond_the_float_range_is_domain_error(capsys, command):
+    # L^2 or the cell volume (2L/N)^n overflows
+    code, out, err = run_main(capsys, *command)
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert (payload["error"], payload["constraint"]) == ("domain", "L")
+
+
+def test_perturb_underflowed_critical_integral_is_resolution_error(capsys):
+    # at eps = 1e-100 every grid sample of w1^(2*) underflows to 0
+    code, out, err = run_main(capsys, "perturb", "--n", "1", "--s", "0.3",
+                              "--alpha", "2.5", "--mu1", "1", "--mu2", "1",
+                              "--gamma=-1", "--N", "16", "--eps", "1e-100",
+                              "--R", "1e150")
+    assert code == 2 and out == ""
+    payload = json.loads(err)
+    assert (payload["error"], payload["constraint"]) == \
+        ("resolution", "critical_norm")
+
+
+def test_perturb_underflowed_amplitude_is_numerical_error(capsys):
+    # valid inputs: mu1^(-1/(2*-2)) = 1e10^(-74.6) underflows to 0
+    code, out, err = run_main(capsys, "perturb", "--n", "3", "--s", "0.01",
+                              "--alpha", "1.005", "--mu1", "1e10", "--mu2",
+                              "1", "--gamma=-1", "--R", "10", "--N", "16")
+    assert code == 2 and out == ""
+    payload = json.loads(err)
+    assert (payload["error"], payload["constraint"]) == \
+        ("numerical", "kappa")
+
+
 def test_verify_underflowed_residual_is_resolution_error(capsys):
     # the profile is about 1e-100 on the box, so both residual norms
     # underflow and their ratio is nan: no verdict, not a pass
