@@ -109,6 +109,17 @@ def l_sup(params: SystemParams) -> float:
     return k_sup(params.mirrored())
 
 
+def _decoupled_pair(params):
+    """(k_sup, l_sup), the root at gamma = 0; a `NumericalError` when
+    either under- or overflows, where F1 or F2 would be nan."""
+    k0, l0 = k_sup(params), l_sup(params)
+    if not (0.0 < k0 < math.inf and 0.0 < l0 < math.inf):
+        raise NumericalError("decoupled pair leaves the float range",
+                             constraint="0 < k_sup, l_sup < inf",
+                             value=(k0, l0))
+    return k0, l0
+
+
 def _check_positive(name, v, allow_zero=False):
     v = np.asarray(v, dtype=float)
     bad = ~(v >= 0.0) if allow_zero else ~(v > 0.0)
@@ -331,11 +342,15 @@ def newton_polish(params: SystemParams, k: float, l: float, tol: float,
 
 def _prescan(params):
     """What is known of a point before its scan: the decoupled pair at
-    gamma = 0, the `DomainError` for a point outside the solver's
-    hypotheses, or, for a point whose root the scan finds, whether it lies
-    in case A (2s < n < 4s, alpha, beta > 2) rather than B."""
+    gamma = 0 (a `NumericalError` when it under- or overflows), the
+    `DomainError` for a point outside the solver's hypotheses, or, for a
+    point whose root the scan finds, whether it lies in case A
+    (2s < n < 4s, alpha, beta > 2) rather than B."""
     if params.gamma == 0.0:
-        k0, l0 = k_sup(params), l_sup(params)
+        try:
+            k0, l0 = _decoupled_pair(params)
+        except NumericalError as exc:
+            return exc
         res1, res2 = (abs(float(f)) for f in _system(params, k0, l0)[:2])
         return CouplingSolution(k=k0, l=l0, res1=res1, res2=res2,
                                 method="decoupled")
@@ -639,7 +654,8 @@ def check_domination(params: SystemParams, solution: CouplingSolution,
     worst_margin = float(margins[worst_idx])
     worst_point = (float(c[worst_idx]), float(d[worst_idx]))
     bad = feas & (margins < -DOMINATION_SLACK)
-    if bad.any():
+    n_bad = int(np.count_nonzero(bad))
+    if n_bad:
         i = np.flatnonzero(bad)[0]
         raise CounterexampleError(
             "feasible pair undercuts the root in c + d",

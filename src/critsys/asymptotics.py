@@ -289,7 +289,7 @@ def continuation_branch(params_base: SystemParams, gamma_max: float,
         step = thr_b / 100.0
     max_step = thr_b / 25.0
 
-    k, l = algebraic.k_sup(p0), algebraic.l_sup(p0)
+    k, l = algebraic._decoupled_pair(p0)
     gamma = 0.0
     samples = [_accept(p0.replace_gamma(0.0), gamma, k, l)]
     termination = "completed"
@@ -297,10 +297,9 @@ def continuation_branch(params_base: SystemParams, gamma_max: float,
     while gamma < gamma_max:
         dgamma = min(step, gamma_max - gamma)
         # the Euler velocity at (gamma, k, l), which every halving shares
-        p_here = p0.replace_gamma(gamma)
+        _, _, J, grad = algebraic._system(p0.replace_gamma(gamma), k, l)
         try:
-            vel = np.linalg.solve(algebraic.jacobian(p_here, k, l),
-                                  -algebraic.gamma_gradient(p_here, k, l))
+            vel = np.linalg.solve(J, -grad)
         except np.linalg.LinAlgError:
             vel = np.zeros(2)
         # halve the step until the corrector converges, else it stalls

@@ -365,13 +365,18 @@ def _cmd_sweep(args):
     fixed = grid.get("fixed", {})
     axis_names = list(axes)
     axis_values = [axes[name] for name in axis_names]
-    total = math.prod(max(len(vals), 1) for vals in axis_values)
+    total = 1
+    for vals in axis_values:
+        total *= max(len(vals), 1)
     if total > SWEEP_CAP:
         raise DomainError(f"grid has {total} points, above the cap {SWEEP_CAP}",
                           constraint="grid size", value=total)
 
-    points = [dict(fixed, **dict(zip(axis_names, combo)))
-              for combo in itertools.product(*axis_values)]
+    points = []
+    for combo in itertools.product(*axis_values) if axis_values else [()]:
+        point = dict(fixed)
+        point.update(dict(zip(axis_names, combo)))
+        points.append(point)
 
     lines = [",".join(SWEEP_COLUMNS)]
     for row in _sweep_rows(points, args.tol):

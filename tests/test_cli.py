@@ -281,6 +281,26 @@ def test_perturb_underflowed_amplitude_is_numerical_error(capsys):
         ("numerical", "kappa")
 
 
+SMALL_S = ["--n", "3", "--s", "0.01", "--alpha", "1.005", "--mu2", "1",
+           "--gamma", "0"]
+
+
+@pytest.mark.parametrize("command", [
+    ["solve", *SMALL_S, "--mu1", "1e10"],
+    ["solve", *SMALL_S, "--mu1", "1e-10"],
+    ["continue", *SMALL_S, "--mu1", "1e10", "--gamma-max", "1"],
+    ["continue", *SMALL_S, "--mu1", "1e-10", "--gamma-max", "1"],
+], ids=["solve-0", "solve-inf", "continue-0", "continue-inf"])
+def test_decoupled_pair_beyond_the_float_range_is_numerical_error(capsys,
+                                                                  command):
+    # 2* - 2 is about 0.013, so k_sup = mu1^(-149) is 0 or inf for valid mu1
+    code, out, err = run_main(capsys, *command)
+    assert code == 2 and out == ""
+    payload = json.loads(err)
+    assert (payload["error"], payload["constraint"]) == \
+        ("numerical", "0 < k_sup, l_sup < inf")
+
+
 def test_verify_underflowed_residual_is_resolution_error(capsys):
     # the profile is about 1e-100 on the box, so both residual norms
     # underflow and their ratio is nan: no verdict, not a pass
