@@ -46,6 +46,8 @@ _SCAN = np.geomspace(1e-8, 1.0 - 1e-12, 512)
 _BATCH = 1024
 #: a Newton step that would leave k, l > 0 is halved down to this factor
 _DAMPING_FLOOR = 1e-6
+#: Newton steps of the polish after bisection
+_POLISH_STEPS = 12
 #: points of the uniform grid on which curve_diagnostics checks each slope
 SLOPE_GRID_POINTS = 10_000
 #: roundoff allowance of check_domination in c + d >= k0 + l0
@@ -58,14 +60,28 @@ def _scalar(out):
 
 
 def _powp(x, p):
-    """x**p for strictly positive x (0 allowed when p >= 0), via exp/log."""
-    x = np.asarray(x, dtype=float)
-    if p == 0.0:
-        out = np.ones_like(x)
-    else:
-        with np.errstate(divide="ignore"):
-            out = np.exp(p * np.log(x))
+    """x**p for strictly positive x (0 allowed when p >= 0), via exp/log;
+    p may be an array of exponents, one per x."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        (out,) = _pow(np.log(np.asarray(x, dtype=float)), p)
     return _scalar(out)
+
+
+def _pow(log_x, *exponents):
+    """exp(p log x) for each exponent p, with x**0 = 1 also at x = 0; each
+    p is a float, or an array of them, one per x."""
+    if isinstance(exponents[0], np.ndarray):
+        return [np.where(p == 0.0, 1.0, np.exp(p * log_x)) for p in exponents]
+    return [np.exp(p * log_x) if p != 0.0 else np.ones_like(log_x)
+            for p in exponents]
+
+
+def _stack(points) -> SystemParams:
+    """``points`` as one `SystemParams` of arrays, which `k_sup`, `l_sup`,
+    `_curve`, `_F` and `_system` read elementwise."""
+    return SystemParams(*np.array(
+        [(p.n, p.s, p.alpha, p.beta, p.mu1, p.mu2, p.gamma) for p in points],
+        dtype=float).reshape(len(points), 7).T)
 
 
 @dataclass(frozen=True)
@@ -133,39 +149,53 @@ def eval_F1(params: SystemParams, k, l):
     """First coupling function; k > 0 (k = 0 allowed when alpha >= 2), l >= 0."""
     _check_positive("k", k, allow_zero=params.alpha >= 2.0)
     _check_positive("l", l, allow_zero=True)
-    return _scalar(_system(params, k, l)[0])
+    return _scalar(_residuals(params, k, l)[0])
 
 
 def eval_F2(params: SystemParams, k, l):
     """Second coupling function; l > 0 (l = 0 allowed when beta >= 2), k >= 0."""
     _check_positive("l", l, allow_zero=params.beta >= 2.0)
     _check_positive("k", k, allow_zero=True)
-    return _scalar(_system(params, k, l)[1])
+    return _scalar(_residuals(params, k, l)[1])
 
 
-def _system(params, k, l):
-    """F1, F2, their Jacobian in (k, l) and their gradient in gamma at
-    unchecked (k, l), or at arrays of them.
+def _F(params, k, l):
+    """F1 and F2 at unchecked (k, l), or at arrays of them, and the logs,
+    coefficients and powers that `_system` goes on from; the caller
+    silences numpy's floating-point warnings.
 
     log k and log l are taken once; every power is exp(p log x), the
     product `_powp` forms, with x**0 = 1 also at x = 0 (F1(0, l) at
-    alpha = 2).  Non-finite entries are left in the result unwarned.  The
-    k power multiplies first in every coupling term.
+    alpha = 2).  The k power multiplies first in every coupling term.
     """
     a, b, ts, g = params.alpha, params.beta, params.two_star, params.gamma
     r = 0.5 * (ts - 2.0)
+    log_k = np.log(np.asarray(k, dtype=float))
+    log_l = np.log(np.asarray(l, dtype=float))
+    k_r, k_a, k_a2 = _pow(log_k, r, 0.5 * a, 0.5 * (a - 2.0))
+    l_r, l_b, l_b2 = _pow(log_l, r, 0.5 * b, 0.5 * (b - 2.0))
+    ca, cb = a * g / ts, b * g / ts
+    f1 = params.mu1 * k_r + ca * k_a2 * l_b - 1.0
+    f2 = params.mu2 * l_r + cb * k_a * l_b2 - 1.0
+    return f1, f2, (log_k, log_l, ca, cb, k_a, k_a2, l_b, l_b2)
+
+
+def _residuals(params, k, l):
+    """F1 and F2 from `_F`, non-finite entries left in unwarned."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        log_k = np.log(np.asarray(k, dtype=float))
-        log_l = np.log(np.asarray(l, dtype=float))
-        k_r, k_r1, k_a, k_a2, k_a4 = (
-            np.exp(p * log_k) if p != 0.0 else np.ones_like(log_k)
-            for p in (r, r - 1.0, 0.5 * a, 0.5 * (a - 2.0), 0.5 * (a - 4.0)))
-        l_r, l_r1, l_b, l_b2, l_b4 = (
-            np.exp(p * log_l) if p != 0.0 else np.ones_like(log_l)
-            for p in (r, r - 1.0, 0.5 * b, 0.5 * (b - 2.0), 0.5 * (b - 4.0)))
-        ca, cb = a * g / ts, b * g / ts
-        f1 = params.mu1 * k_r + ca * k_a2 * l_b - 1.0
-        f2 = params.mu2 * l_r + cb * k_a * l_b2 - 1.0
+        return _F(params, k, l)[:2]
+
+
+def _system(params, k, l):
+    """`_residuals` with the Jacobian of (F1, F2) in (k, l), whose first two
+    axes are its rows and columns, and their gradient in gamma."""
+    a, b, ts = params.alpha, params.beta, params.two_star
+    r = 0.5 * (ts - 2.0)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        f1, f2, (log_k, log_l, ca, cb, k_a, k_a2, l_b, l_b2) = \
+            _F(params, k, l)
+        k_r1, k_a4 = _pow(log_k, r - 1.0, 0.5 * (a - 4.0))
+        l_r1, l_b4 = _pow(log_l, r - 1.0, 0.5 * (b - 4.0))
         jac = np.array([
             [params.mu1 * r * k_r1 + ca * 0.5 * (a - 2.0) * k_a4 * l_b,
              ca * 0.5 * b * k_a2 * l_b2],
@@ -195,22 +225,22 @@ def _curve_argument(params, x, name="k"):
 
 def curve_l_of_k(params: SystemParams, k):
     """The curve l(k) solving F1(k, l(k)) = 0 on 0 < k <= mu1^(-2/(2*-2))."""
-    return _curve(params, k, "k")
+    return _scalar(_curve(params, _curve_argument(params, k)))
 
 
 def curve_k_of_l(params: SystemParams, l):
     """The mirror curve k(l) solving F2(k(l), l) = 0 on 0 < l <= mu2^(-2/(2*-2))."""
-    return _curve(params.mirrored(), l, "l")
+    mirror = params.mirrored()
+    return _scalar(_curve(mirror, _curve_argument(mirror, l, "l")))
 
 
-def _curve(params, k, name):
-    """l(k) for ``params``; k is named ``name`` in a domain error."""
-    karr = _curve_argument(params, k, name)
+def _curve(params, k):
+    """l(k) for ``params`` at unchecked k in (0, k_sup]."""
     a, b, ts = params.alpha, params.beta, params.two_star
-    q = 1.0 - params.mu1 * _powp(karr, 0.5 * (ts - 2.0))
+    q = 1.0 - params.mu1 * _powp(k, 0.5 * (ts - 2.0))
     q = np.maximum(q, 0.0)  # endpoint roundoff only
     coef = _powp(ts / (a * params.gamma), 2.0 / b)
-    return _scalar(coef * _powp(karr, (2.0 - a) / b) * _powp(q, 2.0 / b))
+    return coef * _powp(k, (2.0 - a) / b) * _powp(q, 2.0 / b)
 
 
 def eval_f(params: SystemParams, k):
@@ -308,7 +338,7 @@ def gamma_gradient(params: SystemParams, k: float, l: float) -> np.ndarray:
 
 
 def newton_polish(params: SystemParams, k: float, l: float, tol: float,
-                  max_iter: int = 12) -> tuple[bool, float, float]:
+                  max_iter: int = _POLISH_STEPS) -> tuple[bool, float, float]:
     """Damped Newton on (F1, F2) from k, l > 0; returns ``(converged, k, l)``.
 
     Converged means both residuals are at most ``tol``; otherwise the loop
@@ -320,11 +350,10 @@ def newton_polish(params: SystemParams, k: float, l: float, tol: float,
         return False, float(k), float(l)
     for _ in range(max_iter):
         f1, f2, J, _ = _system(params, k, l)
-        F = np.array([f1, f2])
-        if np.max(np.abs(F)) <= tol:
+        if abs(f1) <= tol and abs(f2) <= tol:
             return True, float(k), float(l)
         try:
-            step = np.linalg.solve(J, F)
+            step = np.linalg.solve(J, np.array([f1, f2]))
         except np.linalg.LinAlgError:
             break
         scale = 1.0
@@ -351,7 +380,7 @@ def _prescan(params):
             k0, l0 = _decoupled_pair(params)
         except NumericalError as exc:
             return exc
-        res1, res2 = (abs(float(f)) for f in _system(params, k0, l0)[:2])
+        res1, res2 = (abs(float(f)) for f in _residuals(params, k0, l0))
         return CouplingSolution(k=k0, l=l0, res1=res1, res2=res2,
                                 method="decoupled")
     if params.gamma < 0.0:
@@ -404,10 +433,11 @@ def _solve_batch(points, tol) -> list:
     """`find_k0_l0_batch` for at most ``_BATCH`` points."""
     results = [_prescan(p) for p in points]
     scan = [i for i, r in enumerate(results) if isinstance(r, bool)]
-    case_a = [results[i] for i in scan]
+    case_a = np.array([results[i] for i in scan], dtype=bool)
     coef = _f_coefficients([points[i] for i in scan])
-    grid = np.array([k_sup(points[i]) for i in scan])[:, None] * _SCAN
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ksup = np.array([k_sup(points[i]) for i in scan])
+        grid = ksup[:, None] * _SCAN
         fv = _f_core(coef[:, :, None], grid)
     # the first event of each row: f = 0 at a grid point, or a sign change
     # between a grid point and the next
@@ -440,49 +470,87 @@ def _solve_batch(points, tol) -> list:
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         k_root = bisect(lambda k: _f_core(sub, k), grid[todo, cells],
                         grid[todo, cells + crossing[todo]])
-    for row, k in zip(todo, k_root):
-        i = scan[row]
-        try:
-            results[i] = _polish_root(points[i], float(k), tol, case_a[row])
-        except CritsysError as exc:
-            results[i] = exc
+        polished = _polish_roots(_stack([points[scan[r]] for r in todo]),
+                                 k_root, tol, ksup[todo], sub, case_a[todo])
+    for row, result in zip(todo, polished):
+        results[scan[row]] = result
     return results
 
 
-def _polish_root(params, k_root, tol, case_a) -> CouplingSolution:
-    """Map a bracketed root of f to (k, l), polish it and certify it."""
-    l_root = curve_l_of_k(params, k_root)
-    if l_root <= 0.0:
-        raise NumericalError("root collapsed onto the curve endpoint",
-                             constraint="l > 0", value=l_root)
-    sol = _certified(params, k_root, l_root, tol, "bisection")
-    k0, l0 = sol.k, sol.l
-    ksup = k_sup(params)
-    if not (0.0 < k0 < ksup and 0.0 < l0 < l_sup(params)):
-        raise NumericalError("root left the admissible box",
-                             constraint="0 < k < k_sup, 0 < l < l_sup",
-                             value=(k0, l0))
+def _polish_roots(params, k, tol, ksup, coef, case_a) -> list:
+    """`find_k0_l0` at the bracketed roots k of a `_stack`, all at once, or
+    the error of the first check a root fails: curve endpoint, residuals,
+    admissible box, then minimal-k selection.  ``ksup`` and the columns
+    ``coef`` of `_f_coefficients` are the scan's."""
+    l_curve = _curve(params, k)
+    k, l, results = _certify(params, k, l_curve, tol, "bisection")
+    for i in np.flatnonzero(l_curve <= 0.0):
+        results[i] = NumericalError("root collapsed onto the curve endpoint",
+                                    constraint="l > 0",
+                                    value=float(l_curve[i]))
+    ok = np.array([isinstance(r, CouplingSolution) for r in results], bool)
+    in_box = (0.0 < k) & (k < ksup) & (0.0 < l) & (l < l_sup(params))
+    for i in np.flatnonzero(ok & ~in_box):
+        results[i] = NumericalError("root left the admissible box",
+                                    constraint="0 < k < k_sup, 0 < l < l_sup",
+                                    value=(results[i].k, results[i].l))
 
     # in the convex-curve regime the reduction must stay negative left of
     # the minimal root
-    if not case_a and k0 > 2e-8 * ksup:
-        left = np.geomspace(ksup * 1e-8, k0 * (1.0 - 1e-6), 256)
-        if np.any(eval_f(params, left) > 1e-10):
-            raise NumericalError(
-                "f is positive left of the returned root; minimal-k "
-                "selection failed", constraint="minimal-k", value=k0)
-    return sol
+    rows = np.flatnonzero(ok & in_box & ~case_a & (k > 2e-8 * ksup))
+    left = np.geomspace(ksup[rows] * 1e-8, k[rows] * (1.0 - 1e-6), 256,
+                        axis=1)
+    for i in rows[np.any(_f_core(coef[:, rows, None], left) > 1e-10, axis=1)]:
+        results[i] = NumericalError(
+            "f is positive left of the returned root; minimal-k "
+            "selection failed", constraint="minimal-k", value=results[i].k)
+    return results
 
 
-def _certified(params, k, l, tol, method) -> CouplingSolution:
-    """Polish (k, l) with Newton to 0.05 tol and certify both residuals
-    within tol."""
-    _, k, l = newton_polish(params, k, l, 0.05 * tol)
-    res1, res2 = (abs(float(f)) for f in _system(params, k, l)[:2])
-    if res1 > tol or res2 > tol:
-        raise NumericalError("residual tolerance not met after polish",
-                             constraint="residual", value=max(res1, res2))
-    return CouplingSolution(k=k, l=l, res1=res1, res2=res2, method=method)
+def _certify(params, k, l, tol, method):
+    """Polish each (k, l) with Newton to 0.05 tol and certify both residuals
+    within tol: the polished k and l, and per point its `CouplingSolution`
+    or the residual `NumericalError`."""
+    k, l = _newton(params, k, l, 0.05 * tol)
+    res1, res2 = (np.abs(f).tolist() for f in _residuals(params, k, l))
+    return k, l, [
+        NumericalError("residual tolerance not met after polish",
+                       constraint="residual", value=max(r1, r2))
+        if r1 > tol or r2 > tol else
+        CouplingSolution(k=k0, l=l0, res1=r1, res2=r2, method=method)
+        for k0, l0, r1, r2 in zip(k.tolist(), l.tolist(), res1, res2)]
+
+
+def _newton(params, k, l, tol):
+    """`newton_polish` from every (k, l) at once: each point takes the
+    steps, halvings and stops it takes there, while the others go on."""
+    k, l = np.array(k, dtype=float), np.array(l, dtype=float)
+    live = ~((k <= 0.0) | (l <= 0.0))
+    for _ in range(_POLISH_STEPS):
+        f1, f2, jac, _ = _system(params, k, l)
+        live &= ~(np.maximum(np.abs(f1), np.abs(f2)) <= tol)
+        if not live.any():
+            break
+        J, F = np.moveaxis(jac, -1, 0), np.stack([f1, f2], axis=-1)
+        step = np.zeros_like(F)
+        try:
+            step[live] = np.linalg.solve(J[live], F[live][..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            for i in np.flatnonzero(live):  # only a singular point stops
+                try:
+                    step[i] = np.linalg.solve(J[i], F[i])
+                except np.linalg.LinAlgError:
+                    live[i] = False
+        scale = np.ones_like(k)
+        while (halve := live & (scale > _DAMPING_FLOOR) & (
+                (k - scale * step[:, 0] <= 0.0)
+                | (l - scale * step[:, 1] <= 0.0))).any():
+            scale[halve] *= 0.5
+        k1, l1 = k - scale * step[:, 0], l - scale * step[:, 1]
+        move = live & ~((k1 <= 0.0) | (l1 <= 0.0))
+        live = move & np.isfinite(k1) & np.isfinite(l1)
+        k, l = np.where(move, k1, k), np.where(move, l1, l)
+    return k, l
 
 
 # ---------------------------------------------------------------------------
@@ -548,8 +616,11 @@ def solve_ratio_reduction(params: SystemParams,
 
     r = 0.5 * (params.two_star - 2.0)
     y0 = _powp(ratio_f1(params, x0), 1.0 / r)
-    return _certified(params, x0 * y0 / (1.0 + x0), y0 / (1.0 + x0), tol,
-                      "ratio")
+    (result,) = _certify(params, [x0 * y0 / (1.0 + x0)], [y0 / (1.0 + x0)],
+                         tol, "ratio")[2]
+    if isinstance(result, CritsysError):
+        raise result
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -644,7 +715,7 @@ def check_domination(params: SystemParams, solution: CouplingSolution,
     lo_d, hi_d = l0 / 10.0, 10.0 * max(l0, l_sup(params))
     c = np.exp(rng.uniform(math.log(lo_c), math.log(hi_c), samples))
     d = np.exp(rng.uniform(math.log(lo_d), math.log(hi_d), samples))
-    f1, f2, _, _ = _system(params, c, d)
+    f1, f2 = _residuals(params, c, d)
     feas = (f1 >= 0.0) & (f2 >= 0.0)
     margins = c + d - (k0 + l0)
     n_feas = int(np.count_nonzero(feas))

@@ -9,6 +9,7 @@ failures, 64 usage errors.  Sweep rows are ordered by grid index.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -183,6 +184,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out")
 
     return parser
+
+
+#: the parser of `main`, built once per process; parsing leaves it as it was
+_parser = functools.cache(build_parser)
 
 
 # ---------------------------------------------------------------------------
@@ -397,9 +402,8 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
     try:

@@ -411,6 +411,107 @@ def test_batch_equals_point_by_point_over_the_box(monkeypatch):
     assert find_k0_l0_batch([]) == []
 
 
+#: the constraints of the errors raised after bisection, in check order
+TAIL_CONSTRAINTS = ("l > 0", "residual", "0 < k < k_sup, 0 < l < l_sup",
+                    "minimal-k")
+
+
+def scalar_tail(p, tol=algebraic.RESIDUAL_TOL):
+    """find_k0_l0 at a point whose scan brackets a root, one point at a time
+    from the public scalar functions: the scan and bisection of f, the curve
+    l(k), newton_polish, the residuals, the box and the minimal-k check."""
+    ksup = k_sup(p)
+    grid = ksup * np.geomspace(1e-8, 1.0 - 1e-12, 512)
+    fv = eval_f(p, grid)
+    event = fv == 0.0
+    event[:-1] |= np.sign(fv[:-1]) * np.sign(fv[1:]) < 0.0
+    j = int(event.argmax())
+    k = bisect(lambda x: eval_f(p, x), grid[j], grid[j + (fv[j] != 0.0)])
+    l = curve_l_of_k(p, k)
+    if l <= 0.0:
+        return NumericalError("root collapsed onto the curve endpoint",
+                              constraint="l > 0", value=l)
+    _, k, l = newton_polish(p, k, l, 0.05 * tol)
+    # Newton stops before k, l <= 0, but it can stop at a nan iterate,
+    # which eval_F1 and eval_F2 reject and where F1 and F2 are nan
+    res1, res2 = ((abs(eval_F1(p, k, l)), abs(eval_F2(p, k, l)))
+                  if k > 0.0 and l > 0.0 else (math.nan, math.nan))
+    if res1 > tol or res2 > tol:
+        return NumericalError("residual tolerance not met after polish",
+                              constraint="residual", value=max(res1, res2))
+    if not (0.0 < k < ksup and 0.0 < l < l_sup(p)):
+        return NumericalError("root left the admissible box",
+                              constraint=TAIL_CONSTRAINTS[2], value=(k, l))
+    case_a = 2.0 * p.s < p.n < 4.0 * p.s and p.alpha > 2.0 and p.beta > 2.0
+    if not case_a and k > 2e-8 * ksup:
+        left = np.geomspace(ksup * 1e-8, k * (1.0 - 1e-6), 256)
+        if np.any(eval_f(p, left) > 1e-10):
+            return NumericalError(
+                "f is positive left of the returned root; minimal-k "
+                "selection failed", constraint="minimal-k", value=k)
+    return CouplingSolution(k=k, l=l, res1=res1, res2=res2)
+
+
+def hex_key(result):
+    """A result with every float as float.hex."""
+    def hx(v):
+        return tuple(map(hx, v)) if isinstance(v, tuple) else float(v).hex()
+    if isinstance(result, CouplingSolution):
+        return tuple(map(hx, (result.k, result.l, result.res1,
+                              result.res2))) + (result.method,)
+    return (type(result), str(result), result.constraint, hx(result.value))
+
+
+def reaches_tail(result):
+    return (isinstance(result, CouplingSolution)
+            and result.method == "bisection"
+            or getattr(result, "constraint", None) in TAIL_CONSTRAINTS)
+
+
+def test_batched_tail_equals_scalar_reference_over_the_box():
+    # the tail sees gamma > 0 only
+    def draws(seed, count):
+        rng = np.random.default_rng(seed)
+        return [(p := whole_box_params(rng)).replace_gamma(abs(p.gamma))
+                for _ in range(count)]
+
+    # plus four rare draws whose polished root leaves the admissible box,
+    # one of them at a nan iterate
+    rare = draws(100, 15483)
+    points = draws(41, 3000) + [rare[i] for i in (4165, 4203, 10181, 15482)]
+    tail = [(p, got) for p, got in zip(points, find_k0_l0_batch(points))
+            if reaches_tail(got)]
+    kinds = Counter(getattr(got, "constraint", "solved") for _, got in tail)
+    assert kinds["solved"] > 1000 and kinds["residual"] > 10
+    assert kinds[TAIL_CONSTRAINTS[2]] == 4
+    for p, got in tail:
+        assert hex_key(got) == hex_key(scalar_tail(p))
+
+
+@pytest.mark.parametrize("name, constraint, breaks", [
+    ("_system", "residual",
+     lambda out, hit: (*out[:2], np.where(hit, 0.0, out[2]), out[3])),
+    ("_curve", "l > 0", lambda out, hit: np.where(hit, 0.0, out)),
+], ids=["singular-jacobian", "collapsed-curve"])
+def test_batched_tail_failure_at_one_point_stops_only_it(monkeypatch, name,
+                                                         constraint, breaks):
+    # a zero Jacobian, or a curve l(k) = 0, at the point with gamma = 2, in
+    # a batch or alone
+    p0 = make_params(3, 0.5, 1.5, 1.0, 1.0, 1.0)
+    points = [p0.replace_gamma(g) for g in (0.5, 1.0, 2.0, 3.0)]
+    before = find_k0_l0_batch(points)
+    real = getattr(algebraic, name)
+    monkeypatch.setattr(algebraic, name, lambda params, *args: breaks(
+        real(params, *args), np.asarray(params.gamma) == 2.0))
+    after = find_k0_l0_batch(points)
+    assert [hex_key(r) for i, r in enumerate(after) if i != 2] == \
+        [hex_key(r) for i, r in enumerate(before) if i != 2]
+    assert isinstance(before[2], CouplingSolution)
+    assert after[2].constraint == constraint
+    assert [hex_key(r) for r in after] == \
+        [hex_key(scalar_tail(p)) for p in points]
+
+
 # ---------------------------------------------------------------------------
 # ratio reduction
 

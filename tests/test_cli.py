@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from critsys import cli
 from critsys.cli import dumps17, main
 from critsys.spectral import load_field
 
@@ -133,6 +134,24 @@ def test_numerical_error_exit_code(tmp_path, capsys):
 def test_usage_error_exit_code(capsys):
     assert main(["solve", "--no-such-flag"]) == 64
     assert main(["not-a-command"]) == 64
+
+
+def test_parser_built_once_answers_as_a_fresh_one(monkeypatch, capsys):
+    # main() parses with one parser per process; a usage error on it leaves
+    # later calls answered as a freshly built parser answers them
+    point = ["--n", "3", "--s", "0.5", "--alpha", "1.5", "--mu1", "1",
+             "--mu2", "2", "--gamma", "1.5"]
+    calls = (["solve", "--no-such-flag"], ["classify", *point],
+             ["solve", *point])
+
+    def run_all():
+        return [(main(argv), *capsys.readouterr()) for argv in calls]
+
+    assert cli._parser() is cli._parser()
+    cached = run_all()
+    assert [code for code, _, _ in cached] == [64, 0, 0]
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert run_all() == cached
 
 
 def test_energy_command(tmp_path, capsys):
