@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import regimes
 from .errors import (CounterexampleError, CritsysError, DomainError,
                      MonotonicityViolationError, NoSignChangeError,
                      NumericalError)
@@ -373,8 +374,7 @@ def _prescan(params):
     """What is known of a point before its scan: the decoupled pair at
     gamma = 0 (a `NumericalError` when it under- or overflows), the
     `DomainError` for a point outside the solver's hypotheses, or, for a
-    point whose root the scan finds, whether it lies in case A
-    (2s < n < 4s, alpha, beta > 2) rather than B."""
+    point whose root the scan finds, whether it lies in case A, not B."""
     if params.gamma == 0.0:
         try:
             k0, l0 = _decoupled_pair(params)
@@ -387,16 +387,13 @@ def _prescan(params):
         return DomainError("no root finding for gamma < 0 (minimum not "
                            "attained)", constraint="gamma >= 0",
                            value=params.gamma)
-    a, b = params.alpha, params.beta
-    case_b = params.n > 4.0 * params.s and 1.0 < a < 2.0 and 1.0 < b < 2.0
-    case_a = (2.0 * params.s < params.n < 4.0 * params.s
-              and a > 2.0 and b > 2.0)
-    if not (case_a or case_b):
+    case = regimes.case_of(params)
+    if case is None:
         return DomainError(
             "root finding needs n > 4s with 1 < alpha, beta < 2, or "
-            "2s < n < 4s with alpha, beta > 2",
-            constraint="regime", value=(params.n, params.s, a, b))
-    return bool(case_a)
+            "2s < n < 4s with alpha, beta > 2", constraint="regime",
+            value=(params.n, params.s, params.alpha, params.beta))
+    return case == "A"
 
 
 def find_k0_l0(params: SystemParams, tol: float = RESIDUAL_TOL) -> CouplingSolution:
@@ -584,8 +581,7 @@ def solve_ratio_reduction(params: SystemParams,
     k = x0 y0/(1+x0), l = y0/(1+x0) with y0 = f1(x0)^(2/(2*-2)).
     """
     _require_positive_gamma(params)
-    if not (2.0 * params.s < params.n < 4.0 * params.s
-            and params.alpha > 2.0 and params.beta > 2.0):
+    if regimes.case_of(params) != "A":
         raise DomainError(
             "ratio reduction needs 2s < n < 4s and alpha, beta > 2",
             constraint="regime",
@@ -652,7 +648,7 @@ def curve_diagnostics(params: SystemParams) -> CurveDiagnostics:
     if ts >= 4.0:
         raise DomainError("slope diagnostics need 2* < 4 (n > 4s)",
                           constraint="2* < 4", value=ts)
-    if not (1.0 < a < 2.0 and 1.0 < b < 2.0):
+    if regimes.case_of(params) != "B":  # n > 4s holds, as 2* < 4
         raise DomainError("slope diagnostics need 1 < alpha, beta < 2",
                           constraint="alpha, beta", value=(a, b))
     # the fields of l(k), then those of its mirror k(l)

@@ -277,7 +277,7 @@ def continuation_branch(params_base: SystemParams, gamma_max: float,
     recorded and the branch truncated.
     """
     p0 = params_base
-    if not (p0.n > 4.0 * p0.s and 1.0 < p0.alpha < 2.0 and 1.0 < p0.beta < 2.0):
+    if regimes.case_of(p0) != "B":
         raise DomainError("continuation needs n > 4s and 1 < alpha, beta < 2",
                           constraint="regime",
                           value=(p0.n, p0.s, p0.alpha, p0.beta))

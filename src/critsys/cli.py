@@ -233,7 +233,7 @@ def _cmd_energy(args):
     p = _resolve_params(args)
     regime = regimes.classify(p)
     solution = None
-    if regime.label in (regimes.ATTAINED_A, regimes.ATTAINED_B):
+    if regime.label in regimes.ATTAINED:
         solution = algebraic.find_k0_l0(p)
     report = regimes.least_energy(p, solution=solution, S_s=args.Ss)
     payload = {
@@ -347,8 +347,8 @@ def _sweep_rows(points, tol):
         rows.append(row)
         params.append(p)
 
-    attained = (regimes.ATTAINED_A, regimes.ATTAINED_B)
-    solve = [i for i, row in enumerate(rows) if row["label"] in attained]
+    solve = [i for i, row in enumerate(rows)
+             if row["label"] in regimes.ATTAINED]
     solutions = dict(zip(solve, algebraic.find_k0_l0_batch(
         [params[i] for i in solve], tol=tol)))
     for i, (row, p) in enumerate(zip(rows, params)):
@@ -368,6 +368,11 @@ def _cmd_sweep(args):
     grid = _load_json_object(args.grid, "grid")
     axes = grid.get("axes", {})
     fixed = grid.get("fixed", {})
+    if not (isinstance(axes, dict) and isinstance(fixed, dict)
+            and all(isinstance(vals, list) for vals in axes.values())):
+        raise DomainError('the grid needs "axes", an object of lists, and '
+                          '"fixed", an object', constraint="grid",
+                          value=args.grid)
     axis_names = list(axes)
     axis_values = [axes[name] for name in axis_names]
     total = 1

@@ -85,10 +85,7 @@ def make_params(n: int, s: float, alpha: float, mu1: float, mu2: float,
                           constraint="n", value=n)
     for name, v in (("s", s), ("alpha", alpha), ("mu1", mu1), ("mu2", mu2),
                     ("gamma", gamma)):
-        if not (isinstance(v, (int, float, np.floating, np.integer))
-                and math.isfinite(float(v))):
-            raise DomainError(f"{name} must be a finite real number",
-                              constraint=name, value=v)
+        _check_finite_real(name, v)
     s = float(s)
     alpha = float(alpha)
     mu1, mu2, gamma = float(mu1), float(mu2), float(gamma)
@@ -116,6 +113,13 @@ def make_params(n: int, s: float, alpha: float, mu1: float, mu2: float,
     return p
 
 
+def _check_finite_real(name, v):
+    if not (isinstance(v, (int, float, np.floating, np.integer))
+            and math.isfinite(float(v))):
+        raise DomainError(f"{name} must be a finite real number",
+                          constraint=name, value=v)
+
+
 def derived_exponents(params: SystemParams) -> DerivedExponents:
     ts = params.two_star
     return DerivedExponents(
@@ -128,7 +132,8 @@ def derived_exponents(params: SystemParams) -> DerivedExponents:
 def params_from_dict(obj: dict) -> SystemParams:
     """Build params from a JSON-style mapping ``{"n":..., ..., "gamma":...}``.
 
-    A ``beta`` entry is tolerated if consistent with the derived value.
+    A ``beta`` entry is tolerated if it is a finite real number consistent
+    with the derived value.
     """
     missing = [k for k in PARAM_KEYS if k not in obj]
     if missing:
@@ -136,10 +141,12 @@ def params_from_dict(obj: dict) -> SystemParams:
                           constraint="params", value=missing)
     p = make_params(obj["n"], obj["s"], obj["alpha"], obj["mu1"], obj["mu2"],
                     obj["gamma"])
-    if "beta" in obj and abs(float(obj["beta"]) - p.beta) > IDENTITY_TOL:
-        raise DomainError(
-            "supplied beta is inconsistent with 2* - alpha",
-            constraint="beta", value=obj["beta"])
+    if "beta" in obj:
+        _check_finite_real("beta", obj["beta"])
+        if abs(float(obj["beta"]) - p.beta) > IDENTITY_TOL:
+            raise DomainError(
+                "supplied beta is inconsistent with 2* - alpha",
+                constraint="beta", value=obj["beta"])
     return p
 
 

@@ -10,10 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .algebraic import CouplingSolution
 from .errors import DomainError, NumericalError, RegimeMismatchError
 from .params import SystemParams, derived_exponents
+
+if TYPE_CHECKING:
+    from .algebraic import CouplingSolution
 
 NEGATIVE_GAMMA = "NEGATIVE_GAMMA"
 ATTAINED_A = "ATTAINED_A"
@@ -23,6 +26,7 @@ UNCOVERED = "UNCOVERED"
 
 LABELS = (NEGATIVE_GAMMA, ATTAINED_A, ATTAINED_B, SMALL_GAMMA_CANDIDATE,
           UNCOVERED)
+ATTAINED = (ATTAINED_A, ATTAINED_B)
 
 
 @dataclass(frozen=True)
@@ -81,6 +85,16 @@ def gamma_threshold_B(params: SystemParams) -> float:
     )
 
 
+def case_of(params: SystemParams) -> str | None:
+    """The case of the existence theorem, "A" or "B", or None; any gamma."""
+    n, s, a, b = params.n, params.s, params.alpha, params.beta
+    if 2.0 * s < n < 4.0 * s and a > 2.0 and b > 2.0:
+        return "A"
+    if n > 4.0 * s and 1.0 < a < 2.0 and 1.0 < b < 2.0:
+        return "B"
+    return None
+
+
 def classify(params: SystemParams) -> Regime:
     """Total classification of valid parameters into the five labels.
 
@@ -89,25 +103,21 @@ def classify(params: SystemParams) -> Regime:
     inclusive from above (gamma >= thr_B).  gamma = 0 is UNCOVERED (the
     decoupled system is only a continuation base point).
     """
-    a, b = params.alpha, params.beta
+    case = case_of(params)
+    thr_a = gamma_threshold_A(params) if case == "A" else None
+    thr_b = gamma_threshold_B(params) if case == "B" else None
     notes: list[str] = []
-    thr_a = thr_b = None
-    if a > 2.0 and b > 2.0:
-        thr_a = gamma_threshold_A(params)
+    if case == "A":
         notes.append("alpha, beta > 2 forces 2s < n < 4s (strict upper window)")
-    if a < 2.0 and b < 2.0:
-        thr_b = gamma_threshold_B(params)
 
     if params.gamma < 0.0:
         label = NEGATIVE_GAMMA
     elif params.gamma == 0.0:
         label = UNCOVERED
         notes.append("gamma = 0 is the decoupled continuation base point")
-    elif (thr_a is not None
-          and 2.0 * params.s < params.n < 4.0 * params.s
-          and params.gamma <= thr_a):
+    elif case == "A" and params.gamma <= thr_a:
         label = ATTAINED_A
-    elif thr_b is not None and params.n > 4.0 * params.s:
+    elif case == "B":
         label = ATTAINED_B if params.gamma >= thr_b else SMALL_GAMMA_CANDIDATE
     else:
         label = UNCOVERED
@@ -130,14 +140,12 @@ def least_energy(params: SystemParams,
     if regime.label == NEGATIVE_GAMMA:
         e1, e2 = _single_mode_levels(params)
         dimless = e1 + e2
-        attained = False
         coeffs = None
-    elif regime.label in (ATTAINED_A, ATTAINED_B):
+    elif regime.label in ATTAINED:
         if solution is None:
             raise DomainError("attained regime needs a solved coupling pair",
                               constraint="solution", value=None)
         dimless = solution.k + solution.l
-        attained = True
         coeffs = (solution.k, solution.l)
     else:
         raise RegimeMismatchError(
@@ -153,7 +161,7 @@ def least_energy(params: SystemParams,
                                  "S_s^(n/2s) finite")
         absolute = (params.s / params.n) * dimless * scale
     return EnergyReport(dimensionless_A=dimless, absolute_A=absolute,
-                        attained=attained, minimizer_coeffs=coeffs)
+                        attained=coeffs is not None, minimizer_coeffs=coeffs)
 
 
 def energy_ordering_check(params: SystemParams, k: float, l: float) -> bool:

@@ -375,6 +375,29 @@ def test_verify_negative_gamma_single_only(tmp_path, capsys):
     assert "single" in payload and "system_eq1" not in payload
 
 
+def test_verify_failed_solve_is_system_skipped(capsys):
+    # gamma = 1e-8 lies far below gamma_B = 1: the minimal root is under the
+    # scan floor, so the system check is skipped and the single check stands
+    code, out, err = run_main(capsys, "verify", "--n", "3", "--s", "0.5",
+                              "--alpha", "1.5", "--mu1", "1", "--mu2", "1",
+                              "--gamma", "1e-8", "--N", "32", "--L", "8")
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["system_skipped"]["error"] == "numerical"
+    assert payload["system_skipped"]["constraint"] == "scan-floor"
+    assert "single" in payload and "system_eq1" not in payload
+
+
+def test_perturb_bad_separation_list_is_domain_error(tmp_path, capsys):
+    params = write_params(tmp_path, mu2=2.0, gamma=-1.0)
+    code, out, err = run_main(capsys, "perturb", "--params", params,
+                              "--R", "10,x", "--N", "16")
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert (payload["error"], payload["constraint"], payload["value"]) \
+        == ("domain", "R", "10,x")
+
+
 def test_perturb_command(tmp_path, capsys):
     params = write_params(tmp_path, mu2=2.0, gamma=-1.0)
     code, out, _ = run_main(capsys, "perturb", "--params", params,
@@ -496,6 +519,46 @@ def test_sweep_cap(tmp_path, capsys):
     code, _, err = run_main(capsys, "sweep", "--grid", str(grid_path))
     assert code == 1
     assert "cap" in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize("grid", [
+    {"axes": [1, 2]},
+    {"axes": {"gamma": 5}, "fixed": {"n": 3}},
+    {"axes": {"gamma": [1]}, "fixed": [1]},
+], ids=["axes-list", "axis-not-a-list", "fixed-list"])
+def test_malformed_grid_is_domain_error(tmp_path, capsys, grid):
+    grid_path = tmp_path / "grid.json"
+    grid_path.write_text(json.dumps(grid))
+    code, out, err = run_main(capsys, "sweep", "--grid", str(grid_path))
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert (payload["error"], payload["constraint"], payload["value"]) \
+        == ("domain", "grid", str(grid_path))
+
+
+@pytest.mark.parametrize("beta", ["x", None, float("nan"), [1.5]],
+                         ids=["string", "null", "nan", "list"])
+def test_non_numeric_beta_is_domain_error(tmp_path, capsys, beta):
+    params = write_params(tmp_path, beta=beta)
+    code, out, err = run_main(capsys, "classify", "--params", params)
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert (payload["error"], payload["constraint"]) == ("domain", "beta")
+    assert payload["message"] == "beta must be a finite real number"
+
+
+def test_sweep_records_non_numeric_beta_as_invalid(tmp_path, capsys):
+    grid = {"axes": {"gamma": [-1.0, 2.0]},
+            "fixed": {"n": 3, "s": 0.5, "alpha": 1.5, "beta": "x",
+                      "mu1": 1.0, "mu2": 1.0}}
+    grid_path = tmp_path / "grid.json"
+    grid_path.write_text(json.dumps(grid))
+    code, out, err = run_main(capsys, "sweep", "--grid", str(grid_path))
+    assert code == 0 and err == ""
+    error = "domain: beta must be a finite real number"
+    assert out.strip().splitlines()[1:] == [
+        f"3,0.5,1.5,,1,1,-1,INVALID,,{error}",
+        f"3,0.5,1.5,,1,1,2,INVALID,,{error}"]
 
 
 @pytest.mark.parametrize("content", [None, "{not json", "[1, 2]"],

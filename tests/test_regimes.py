@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,13 +7,14 @@ from hypothesis import given, settings
 from critsys.algebraic import CouplingSolution, find_k0_l0
 from critsys.errors import (DomainError, NumericalError,
                             RegimeMismatchError)
-from critsys.params import make_params
+from critsys.params import SystemParams, make_params
 from critsys.regimes import (ATTAINED_A, ATTAINED_B, LABELS, NEGATIVE_GAMMA,
-                             SMALL_GAMMA_CANDIDATE, UNCOVERED, classify,
-                             energy_ordering_check, gamma_threshold_A,
-                             gamma_threshold_B, least_energy)
+                             SMALL_GAMMA_CANDIDATE, UNCOVERED, case_of,
+                             classify, energy_ordering_check,
+                             gamma_threshold_A, gamma_threshold_B,
+                             least_energy)
 
-from conftest import system_params
+from conftest import case_edge_draws, system_params
 
 
 # ---------------------------------------------------------------------------
@@ -131,6 +134,92 @@ def test_classify_total_and_consistent(p):
     elif regime.label == SMALL_GAMMA_CANDIDATE:
         assert p.n > 4 * p.s and 1 < p.alpha < 2 and 1 < p.beta < 2
         assert 0 < p.gamma < regime.gamma_threshold_B
+
+
+def _inline_case(p):
+    """The case split as the solver, the ratio reduction, the slope
+    diagnostics and continuation each wrote it before `case_of`."""
+    a, b = p.alpha, p.beta
+    if 2.0 * p.s < p.n < 4.0 * p.s and a > 2.0 and b > 2.0:
+        return "A"
+    if p.n > 4.0 * p.s and 1.0 < a < 2.0 and 1.0 < b < 2.0:
+        return "B"
+    return None
+
+
+def _inline_classify(p):
+    """classify as it was written before `case_of`: the thresholds gated by
+    the bare alpha, beta tests, the labels by the n-vs-s windows."""
+    a, b = p.alpha, p.beta
+    notes, thr_a, thr_b = [], None, None
+    if a > 2.0 and b > 2.0:
+        thr_a = gamma_threshold_A(p)
+        notes.append("alpha, beta > 2 forces 2s < n < 4s (strict upper window)")
+    if a < 2.0 and b < 2.0:
+        thr_b = gamma_threshold_B(p)
+    if p.gamma < 0.0:
+        label = NEGATIVE_GAMMA
+    elif p.gamma == 0.0:
+        label = UNCOVERED
+        notes.append("gamma = 0 is the decoupled continuation base point")
+    elif (thr_a is not None and 2.0 * p.s < p.n < 4.0 * p.s
+          and p.gamma <= thr_a):
+        label = ATTAINED_A
+    elif thr_b is not None and p.n > 4.0 * p.s:
+        label = ATTAINED_B if p.gamma >= thr_b else SMALL_GAMMA_CANDIDATE
+    else:
+        label = UNCOVERED
+    return label, thr_a, thr_b, tuple(notes)
+
+
+def _classify_fields(p):
+    regime = classify(p)
+    return (regime.label, regime.gamma_threshold_A, regime.gamma_threshold_B,
+            regime.notes)
+
+
+def _outcome(fn, p):
+    """fn(p), or the type and arguments of what it raised."""
+    try:
+        return fn(p)
+    except Exception as exc:
+        return type(exc), exc.args
+
+
+def test_case_of_makes_the_inline_decisions():
+    draws = case_edge_draws(np.random.default_rng(20), 100_000)
+    assert sum(edge for _, edge in draws) >= len(draws) // 3
+    cases = {}
+    for p, edge in draws:
+        case = case_of(p)
+        assert case == _inline_case(p), p
+        # curve_diagnostics tested 2* < 4, then the bare alpha, beta window
+        slopes = 1.0 < p.alpha < 2.0 and 1.0 < p.beta < 2.0
+        if p.two_star < 4.0:
+            assert slopes == (case == "B"), p
+        assert _outcome(_classify_fields, p) \
+            == _outcome(_inline_classify, p), p
+        cases[case, edge] = cases.get((case, edge), 0) + 1
+    # both cases and neither, each among plain and edge draws
+    assert len(cases) == 6 and min(cases.values()) > 1000, cases
+
+
+def test_case_of_keeps_the_n_versus_s_windows():
+    # alpha + beta = 2* and beta > 1 make the windows and the lower bounds
+    # redundant for make_params; a hand-built set with wide or narrow
+    # exponents on the wrong side of n = 4s, or an exponent of 1, is in
+    # neither case
+    wide = SystemParams(5, 0.9, 2.5, 2.5, 1.0, 1.0, 0.1)
+    narrow = SystemParams(3, 0.9, 1.5, 1.5, 1.0, 1.0, 0.1)
+    for p in (wide, narrow):
+        assert _inline_case(p) is None and case_of(p) is None
+        regime = classify(p)
+        assert regime.label == UNCOVERED
+        assert regime.gamma_threshold_A is regime.gamma_threshold_B is None
+    assert case_of(replace(wide, n=3)) == "A"
+    assert case_of(replace(narrow, n=5)) == "B"
+    assert case_of(replace(narrow, n=5, alpha=1.0)) is None
+    assert case_of(replace(narrow, n=5, beta=1.0)) is None
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,13 @@ def test_gridfield_validation():
     assert g.values.shape == (8, 8)
 
 
+def test_gridfield_refuses_an_infinite_box():
+    # at L = inf the axis is all nan and the core window empty
+    with pytest.raises(DomainError) as info:
+        GridField(3, 8, np.inf, np.zeros(8 ** 3))
+    assert (info.value.constraint, info.value.value) == ("finite", np.inf)
+
+
 def test_axis_contains_origin():
     g = GridField(1, 8, 2.0, np.zeros(8))
     assert 0.0 in g.axis()
