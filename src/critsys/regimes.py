@@ -64,9 +64,23 @@ def gamma_threshold_A(params: SystemParams) -> float:
                           constraint="alpha, beta > 2", value=(a, b))
     ratio = (a - 2.0) / (b - 2.0)
     return _front(params) * min(
-        (params.mu1 / a) * ratio ** (0.5 * (b - 2.0)),
-        (params.mu2 / b) * ratio ** (0.5 * (a - 2.0)),
+        _threshold_term(params.mu1 / a, ratio, 0.5 * (b - 2.0)),
+        _threshold_term(params.mu2 / b, ratio, 0.5 * (a - 2.0)),
     )
+
+
+def _threshold_term(c: float, ratio: float, power: float) -> float:
+    """c * ratio ** power, or inf where it lies beyond the float range.  A
+    power that overflows alone (beta a few ulps above 2, alpha large) is
+    redone in logs, since a small c may bring the term back in range."""
+    try:
+        return c * ratio ** power
+    except OverflowError:
+        pass
+    try:
+        return math.exp(math.log(c) + power * math.log(ratio))
+    except OverflowError:
+        return math.inf
 
 
 def gamma_threshold_B(params: SystemParams) -> float:

@@ -561,6 +561,24 @@ def test_sweep_records_non_numeric_beta_as_invalid(tmp_path, capsys):
         f"3,0.5,1.5,,1,1,2,INVALID,,{error}"]
 
 
+def test_sweep_survives_a_threshold_power_beyond_the_float_range(tmp_path,
+                                                                 capsys):
+    # beta a few ulps above 2 and a large alpha overflow one power of the
+    # A threshold; the point is an ordinary attained row
+    grid = {"axes": {"gamma": [0.09405510392542676]},
+            "fixed": {"n": 1, "s": 0.4877901426882109,
+                      "alpha": 79.90103901005145, "mu1": 1.0189837491644327,
+                      "mu2": 6.53815578476938}}
+    grid_path = tmp_path / "grid.json"
+    grid_path.write_text(json.dumps(grid))
+    code, out, err = run_main(capsys, "sweep", "--grid", str(grid_path))
+    assert code == 0 and err == ""
+    header, line = out.strip().splitlines()
+    row = dict(zip(header.split(","), line.split(",")))
+    assert row["label"] == "ATTAINED_A" and row["error"] == ""
+    assert float(row["dimensionless_A"]) > 0.0
+
+
 @pytest.mark.parametrize("content", [None, "{not json", "[1, 2]"],
                          ids=["missing", "malformed", "not-an-object"])
 @pytest.mark.parametrize("command", ["sweep", "classify"])

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -36,6 +37,30 @@ def test_threshold_A_asymmetric_min():
 def test_threshold_A_requires_wide_exponents():
     with pytest.raises(DomainError):
         gamma_threshold_A(make_params(3, 0.5, 1.5, 1.0, 1.0, 0.0))
+
+
+def test_threshold_A_with_a_power_beyond_the_float_range():
+    # beta 1.4e-14 above 2 and a large alpha: ratio ** ((alpha - 2)/2)
+    # overflows a float, and the min is the other term
+    p = make_params(1, 0.4877901426882109, 79.90103901005145,
+                    1.0189837491644327, 6.53815578476938, 0.09405510392542676)
+    ratio = (p.alpha - 2.0) / (p.beta - 2.0)
+    front = 4.0 * p.n * p.s / (p.n - 2.0 * p.s) ** 2
+    assert gamma_threshold_A(p) \
+        == front * (p.mu1 / p.alpha) * ratio ** (0.5 * (p.beta - 2.0))
+    assert classify(p).label == ATTAINED_A
+    # near n = 2s both powers overflow: with mu = 1 both terms lie beyond
+    # the float range, a tiny mu1 brings the first back (its half power,
+    # squared in two steps, is the oracle)
+    wide = make_params(1, 0.4999, 6000.0, 1.0, 1.0, 0.1)
+    assert gamma_threshold_A(wide) == math.inf
+    assert classify(wide).label == ATTAINED_A
+    small = replace(wide, mu1=1e-300)
+    a, b = small.alpha, small.beta
+    half = ((a - 2.0) / (b - 2.0)) ** (0.25 * (b - 2.0))
+    front = 4.0 * small.n * small.s / (small.n - 2.0 * small.s) ** 2
+    assert gamma_threshold_A(small) \
+        == pytest.approx(front * (small.mu1 / a * half) * half, rel=1e-12)
 
 
 def test_threshold_B_symmetric():
