@@ -118,8 +118,12 @@ def _theta_on_box(params: SystemParams, R: float, quad: OverlapQuadrature,
 
     w1, w2 = w(1.0, params.mu1), w(-1.0, params.mu2)
     hn = w1.h ** params.n
-    num = hn * float(np.sum(w1.values ** a * w2.values ** b))
-    den = hn * params.mu1 * float(np.sum(w1.values ** ts))
+    overlap = w1.values ** a
+    w2.values **= b
+    overlap *= w2.values
+    num = hn * float(np.sum(overlap))
+    w1.values **= ts
+    den = hn * params.mu1 * float(np.sum(w1.values))
     if not den > 0.0:
         raise ResolutionError("critical integral underflows on this grid",
                               constraint="critical_norm", value=den)

@@ -79,9 +79,11 @@ def bubble_field(spec: BubbleSpec, params: SystemParams, N: int,
                  L: float) -> GridField:
     """Sample the bubble on the grid of [-L, L)^n."""
     decay = 0.5 * (params.n - 2.0 * params.s)
-    r2 = _radius_sq(params.n, N, L, spec.center)
-    return GridField(params.n, N, L,
-                     spec.kappa * (spec.epsilon ** 2 + r2) ** (-decay))
+    values = _radius_sq(params.n, N, L, spec.center)
+    values += spec.epsilon ** 2
+    values **= -decay
+    values *= spec.kappa
+    return GridField(params.n, N, L, values)
 
 
 def shape_integral(n: int) -> float:
@@ -117,7 +119,9 @@ def rayleigh_quotient(params: SystemParams, field: GridField) -> float:
     a critical norm that underflows to zero is a `ResolutionError`."""
     ts = params.two_star
     num = seminorm(field, params.s)
-    den = integrate(field.like(np.abs(field.values) ** ts)) ** (2.0 / ts)
+    crit = np.abs(field.values)
+    crit **= ts
+    den = integrate(field.like(crit)) ** (2.0 / ts)
     if not den > 0.0:
         raise ResolutionError("critical norm underflows on this grid",
                               constraint="critical_norm", value=den)

@@ -416,6 +416,37 @@ def test_perturb_matches_golden_output(capsys):
     assert out == (DATA / "golden_perturb.json").read_text()
 
 
+_GRID64 = ["--mu1", "1", "--mu2", "1.5", "--N", "64", "--L", "10"]
+#: the residual and Sobolev payloads at 17 digits, recorded with numpy
+#: 2.4.6 on x86-64; gamma > 0 runs the system residuals too (case B for
+#: n = 1, 2, 3 and case A for n = 1)
+SPECTRAL_GOLDEN_CASES = {
+    "verify-n1-pos": ["verify", "--n", "1", "--s", "0.2", "--alpha", "1.6",
+                      "--gamma", "3"] + _GRID64,
+    "verify-n1-neg": ["verify", "--n", "1", "--s", "0.2", "--alpha", "1.6",
+                      "--gamma=-0.5"] + _GRID64,
+    "verify-n1-caseA": ["verify", "--n", "1", "--s", "0.3", "--alpha", "2.5",
+                        "--gamma", "1"] + _GRID64,
+    "verify-n2-pos": ["verify", "--n", "2", "--s", "0.4", "--alpha", "1.6",
+                      "--gamma", "3"] + _GRID64,
+    "verify-n2-neg": ["verify", "--n", "2", "--s", "0.4", "--alpha", "1.6",
+                      "--gamma=-0.5"] + _GRID64,
+    "verify-n3-pos": ["verify", "--n", "3", "--s", "0.5", "--alpha", "1.5",
+                      "--gamma", "2.5"] + _GRID64,
+    "verify-n3-neg": ["verify", "--n", "3", "--s", "0.5", "--alpha", "1.5",
+                      "--gamma=-0.5"] + _GRID64,
+    "sobolev-n3": ["sobolev", "--n", "3", "--s", "0.5", "--N", "64"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(SPECTRAL_GOLDEN_CASES))
+def test_spectral_commands_match_golden_output(capsys, case):
+    code, out, err = run_main(capsys, *SPECTRAL_GOLDEN_CASES[case])
+    assert code == 0 and err == ""
+    golden = json.loads((DATA / "golden_spectral_stdout.json").read_text())
+    assert out == golden[case]
+
+
 def test_perturb_wrong_sign_exit(tmp_path, capsys):
     params = write_params(tmp_path, gamma=0.5)
     code, _, err = run_main(capsys, "perturb", "--params", params,

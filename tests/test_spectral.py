@@ -134,6 +134,39 @@ def test_real_transforms_match_complex_reference(n, s):
         assert abs(seminorm(g, s) - norm) <= 1e-14 * norm
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_transform_on_a_box_is_numpys_out_of_place_transform(n):
+    # bit for bit: the in-place stages and the cropping after each stage
+    # change which values are computed, not how
+    rng = np.random.default_rng(40 + n)
+    N, L, s = 32, 6.0, 0.37
+    g = GridField(n, N, L, rng.standard_normal(N ** n))
+    mult = spectral._half_multiplier(n, N, L, s)
+    full = np.fft.irfftn(np.fft.rfftn(g.values) * mult, s=g.values.shape,
+                         axes=range(n))
+    core, _ = spectral._core_box(n, N, L)
+    off_centre = (slice(2, 9), slice(20, 32), slice(0, 5))[:n]
+    for box in (core, off_centre):
+        assert np.array_equal(spectral._frac_laplacian_on(g, s, box),
+                              full[box])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_laplacian_and_seminorm_are_numpys_out_of_place_calls(n):
+    rng = np.random.default_rng(50 + n)
+    for N in (8, 32):
+        g = GridField(n, N, rng.uniform(0.5, 20.0), rng.standard_normal(N ** n))
+        s = rng.uniform(0.05, 1.0)
+        mult = spectral._half_multiplier(n, N, g.L, s)
+        hat = np.fft.rfftn(g.values)
+        assert np.array_equal(frac_laplacian(g, s).values,
+                              np.fft.irfftn(hat * mult, s=g.values.shape,
+                                            axes=range(n)))
+        power = mult * np.abs(hat) ** 2
+        assert seminorm(g, s) == g.h ** n / N ** n * float(
+            np.sum(power) + np.sum(power[..., 1:-1]))
+
+
 def test_cached_multiplier_and_window_are_read_only_and_keyed():
     mult = spectral._half_multiplier(2, 8, 3.0, 0.5)
     assert mult.shape == (8, 5)  # bins 0..N/2 on the last axis
@@ -203,6 +236,54 @@ def test_system_decoupled_reduces_to_single():
     assert rep2.rel_l2_core == pytest.approx(single.rel_l2_core, rel=1e-10)
 
 
+#: case B for n = 1, 2, 3 and case A for n = 1, each with gamma > 0
+RESIDUAL_CASES = [make_params(1, 0.2, 1.6, 1.0, 1.5, 3.0),
+                  make_params(2, 0.4, 1.6, 1.0, 1.5, 3.0), P3,
+                  make_params(1, 0.3, 2.5, 1.0, 1.5, 1.0)]
+
+
+@pytest.mark.parametrize("params", RESIDUAL_CASES,
+                         ids=["n1", "n2", "n3", "n1-caseA"])
+def test_residuals_equal_their_full_grid_forms(params):
+    # the core-box residuals report exactly what transforms and powers on
+    # the whole grid, read on the window, report
+    from critsys.algebraic import find_k0_l0
+
+    n, ts, a, b = params.n, params.two_star, params.alpha, params.beta
+    S = sobolev_constant_closed_form(params).value
+    U = normalized_bubble_field(params, BubbleSpec(1.0, (0.0,) * n), S, 32,
+                                10.0)
+    win = core_window(U)
+    assert pde_residual_single(params, U) == spectral._core_report(
+        frac_laplacian(U, params.s).values, U.values ** (ts - 1.0), win)
+
+    sol = find_k0_l0(params)
+    u, v = U.like(np.sqrt(sol.k) * U.values), U.like(np.sqrt(sol.l) * U.values)
+    g = params.gamma
+    rhs1 = (params.mu1 * u.values ** (ts - 1.0)
+            + (a * g / ts) * u.values ** (a - 1.0) * v.values ** b)
+    rhs2 = (params.mu2 * v.values ** (ts - 1.0)
+            + (b * g / ts) * u.values ** a * v.values ** (b - 1.0))
+    assert pde_residual_system(params, sol.k, sol.l, U) == (
+        spectral._core_report(frac_laplacian(u, params.s).values, rhs1, win),
+        spectral._core_report(frac_laplacian(v, params.s).values, rhs2, win))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_residual_with_an_overflowing_multiplier_is_domain_error(n):
+    # on a box of half-width 1e-300 |xi|^2 overflows, so the transform is
+    # nan: the same error the whole-grid transform raised
+    rng = np.random.default_rng(n)
+    U = GridField(n, 16, 1e-300, rng.uniform(0.5, 1.0, 16 ** n))
+    for residual in (lambda: pde_residual_single(P3, U),
+                     lambda: pde_residual_system(P3, 0.4, 0.6, U)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DomainError) as info:
+                residual()
+        assert (str(info.value), info.value.constraint) == \
+            ("field values must be finite", "finite")
+
+
 def test_residual_rejects_nonpositive_coefficients():
     U = small_bubble_grid()
     with pytest.raises(DomainError):
@@ -241,6 +322,20 @@ def test_cached_core_window_equals_radius_test():
         for _ in range(2):  # built, then from the cache
             assert np.array_equal(core_window(g, fraction),
                                   g.radius_sq() <= (fraction * L) ** 2)
+
+
+def test_core_box_is_the_bounding_box_of_the_window():
+    for n, N, L in [(1, 64, 8.0), (2, 32, 5.0), (3, 16, 4.0), (3, 128, 30.0),
+                    (2, 16, 1e-300)]:
+        mask = core_window(GridField(n, N, L, np.zeros(N ** n)))
+        box, win = spectral._core_box(n, N, L)
+        assert np.array_equal(win, mask[box])
+        assert win.sum() == mask.sum()  # no window point outside the box
+        for d in range(n):  # and no slab of the box without one
+            other = tuple(e for e in range(n) if e != d)
+            assert win.any(axis=other)[[0, -1]].all()
+        with pytest.raises(ValueError):
+            win[(0,) * n] = True
 
 
 # ---------------------------------------------------------------------------
