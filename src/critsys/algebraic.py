@@ -49,6 +49,8 @@ _BATCH = 1024
 _DAMPING_FLOOR = 1e-6
 #: Newton steps of the polish after bisection
 _POLISH_STEPS = 12
+#: Newton steps of each continuation corrector
+_CORRECTOR_STEPS = 25
 #: points of the uniform grid on which curve_diagnostics checks each slope
 SLOPE_GRID_POINTS = 10_000
 #: roundoff allowance of check_domination in c + d >= k0 + l0
@@ -508,7 +510,7 @@ def _certify(params, k, l, tol, method):
     """Polish each (k, l) with Newton to 0.05 tol and certify both residuals
     within tol: the polished k and l, and per point its `CouplingSolution`
     or the residual `NumericalError`."""
-    k, l = _newton(params, k, l, 0.05 * tol)
+    k, l, _ = _newton(params, k, l, 0.05 * tol)
     res1, res2 = (np.abs(f).tolist() for f in _residuals(params, k, l))
     return k, l, [
         NumericalError("residual tolerance not met after polish",
@@ -518,36 +520,46 @@ def _certify(params, k, l, tol, method):
         for k0, l0, r1, r2 in zip(k.tolist(), l.tolist(), res1, res2)]
 
 
-def _newton(params, k, l, tol):
+def _newton(params, k, l, tol, max_iter=_POLISH_STEPS):
     """`newton_polish` from every (k, l) at once: each point takes the
-    steps, halvings and stops it takes there, while the others go on."""
+    steps, halvings and stops it takes there, while the others go on.
+    ``params`` may hold an array of gammas, one per point.  Returns the
+    last k and l and the mask of the points `newton_polish` reports
+    converged: those whose residuals met ``tol`` at an evaluation made
+    while they were still live."""
     k, l = np.array(k, dtype=float), np.array(l, dtype=float)
     live = ~((k <= 0.0) | (l <= 0.0))
-    for _ in range(_POLISH_STEPS):
+    converged = np.zeros_like(live)
+    for _ in range(max_iter):
         f1, f2, jac, _ = _system(params, k, l)
-        live &= ~(np.maximum(np.abs(f1), np.abs(f2)) <= tol)
+        met = live & (np.maximum(np.abs(f1), np.abs(f2)) <= tol)
+        converged |= met
+        live ^= met
         if not live.any():
             break
-        J, F = np.moveaxis(jac, -1, 0), np.stack([f1, f2], axis=-1)
-        step = np.zeros_like(F)
+        # one (2, 2) system per live point, its rows and columns last
+        J, F = jac.transpose(2, 0, 1)[live], np.array((f1, f2)).T[live]
+        step = np.zeros((len(k), 2))
         try:
-            step[live] = np.linalg.solve(J[live], F[live][..., None])[..., 0]
+            step[live] = np.linalg.solve(J, F[..., None])[..., 0]
         except np.linalg.LinAlgError:
-            for i in np.flatnonzero(live):  # only a singular point stops
-                try:
-                    step[i] = np.linalg.solve(J[i], F[i])
+            for i, j in enumerate(np.flatnonzero(live)):  # only a singular
+                try:                                      # point stops
+                    step[j] = np.linalg.solve(J[i], F[i])
                 except np.linalg.LinAlgError:
-                    live[i] = False
-        scale = np.ones_like(k)
-        while (halve := live & (scale > _DAMPING_FLOOR) & (
-                (k - scale * step[:, 0] <= 0.0)
-                | (l - scale * step[:, 1] <= 0.0))).any():
-            scale[halve] *= 0.5
-        k1, l1 = k - scale * step[:, 0], l - scale * step[:, 1]
+                    live[j] = False
+        dk, dl = step.T
+        k1, l1 = k - dk, l - dl
+        if (live & ((k1 <= 0.0) | (l1 <= 0.0))).any():
+            scale = np.ones_like(k)
+            while (halve := live & (scale > _DAMPING_FLOOR) & (
+                    (k - scale * dk <= 0.0) | (l - scale * dl <= 0.0))).any():
+                scale[halve] *= 0.5
+            k1, l1 = k - scale * dk, l - scale * dl
         move = live & ~((k1 <= 0.0) | (l1 <= 0.0))
         live = move & np.isfinite(k1) & np.isfinite(l1)
         k, l = np.where(move, k1, k), np.where(move, l1, l)
-    return k, l
+    return k, l, converged
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ bracketing the coupling value where the certificate first fails.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,6 +36,10 @@ MARGIN_FACTOR = 10.0
 FIXED_POINT_MAX_ITER = 200
 #: accepted samples after which a continuation branch stops as stalled
 MAX_BRANCH_SAMPLES = 100_000
+#: the factors of a continuation step's halvings, 1, 1/2, 1/4, ...; a
+#: step is at most gamma_max and its halvings stop below
+#: 1e-12 max(1, gamma_max), so 41 of them suffice
+_HALVINGS = 0.5 ** np.arange(48.0)
 
 
 @dataclass(frozen=True)
@@ -306,20 +310,17 @@ def continuation_branch(params_base: SystemParams, gamma_max: float,
             vel = np.linalg.solve(J, -grad)
         except np.linalg.LinAlgError:
             vel = np.zeros(2)
-        # halve the step until the corrector converges, else it stalls
-        while (dgamma >= 1e-12 * max(1.0, gamma_max)
-               and gamma + dgamma > gamma):
-            gamma_next = gamma + dgamma
-            k_pred, l_pred = k + vel[0] * dgamma, l + vel[1] * dgamma
-            p_next = p0.replace_gamma(gamma_next)
-            ok, k_new, l_new = algebraic.newton_polish(
-                p_next, k_pred, l_pred, tol, max_iter=25)
-            if ok:
-                gamma, k, l = gamma_next, k_new, l_new
-                samples.append(_accept(p_next, gamma, k, l))
-                break
-            dgamma *= 0.5
-        else:
+        # the halvings dgamma, dgamma/2, ... down to the last that still
+        # moves gamma, corrected all at once; the step takes the largest
+        # that converges, and the branch ends when none does
+        ladder = dgamma * _HALVINGS
+        ladder = ladder[:np.argmin((ladder >= 1e-12 * max(1.0, gamma_max))
+                                   & (gamma + ladder > gamma))]
+        gammas = gamma + ladder
+        ks, ls, ok = algebraic._newton(
+            replace(p0, gamma=gammas), k + vel[0] * ladder,
+            l + vel[1] * ladder, tol, algebraic._CORRECTOR_STEPS)
+        if not ok.any():
             # a stall with exploding conditioning is a fold: the cond_limit
             # itself is unreachable in double precision because the step
             # underflows while cond grows only like 1/sqrt(distance)
@@ -327,6 +328,9 @@ def continuation_branch(params_base: SystemParams, gamma_max: float,
                                                  100.0 * samples[0].jac_cond)
             termination = "fold" if at_fold else "stalled"
             break
+        i = ok.argmax()
+        gamma, k, l = float(gammas[i]), float(ks[i]), float(ls[i])
+        samples.append(_accept(p0.replace_gamma(gamma), gamma, k, l))
         if samples[-1].jac_cond > cond_limit:
             termination = "fold"
             break

@@ -4,15 +4,19 @@ import math
 import numpy as np
 import pytest
 
-from critsys.algebraic import eval_F1, eval_F2, jacobian, k_sup, l_sup
-from critsys.asymptotics import (OverlapQuadrature, contraction_ball,
-                                 continuation_branch, energy_gap_vs_R,
-                                 overlap_theta, perturbation_constants,
-                                 solve_tR_sR)
+from critsys import algebraic, asymptotics
+from critsys.algebraic import (eval_F1, eval_F2, gamma_gradient, jacobian,
+                               k_sup, l_sup, newton_polish)
+from critsys.asymptotics import (MAX_BRANCH_SAMPLES, OverlapQuadrature,
+                                 contraction_ball, continuation_branch,
+                                 energy_gap_vs_R, overlap_theta,
+                                 perturbation_constants, solve_tR_sR)
+from critsys.bubbles import (BubbleSpec, bubble_field, ground_state_amplitude,
+                             sobolev_constant_closed_form)
 from critsys.errors import (DivergenceError, DomainError, NumericalError,
                             QuadratureError)
 from critsys.params import make_params
-from critsys.regimes import gamma_threshold_B
+from critsys.regimes import energy_ordering_check, gamma_threshold_B
 
 from conftest import rng_params
 
@@ -56,6 +60,70 @@ def test_theta_tail_guard_fires_on_tight_box():
     quad = OverlapQuadrature(N=32, eps=1.0, L=2.0, check_tails=True)
     with pytest.raises(QuadratureError):
         overlap_theta(P_NEG, 4.0, quad)
+
+
+def full_grid_theta(params, R, quad, L, shift):
+    """theta on the box from `bubble_field`'s samples, each power and the
+    product formed on every grid point."""
+    a, b, ts = params.alpha, params.beta, params.two_star
+    S = sobolev_constant_closed_form(params).value
+    amp = ground_state_amplitude(params, BubbleSpec(quad.eps, (0.0,)), S)
+    fields = []
+    for sign, mu in ((1.0, params.mu1), (-1.0, params.mu2)):
+        center = tuple((sign * R / 2.0 if d == 0 else 0.0) + shift[d]
+                       for d in range(params.n))
+        kappa = mu ** (-1.0 / (ts - 2.0)) * amp
+        fields.append(bubble_field(BubbleSpec(quad.eps, center, kappa),
+                                   params, quad.N, L))
+    w1, w2 = fields
+    hn = w1.h ** params.n
+    num = hn * float(np.sum(w1.values ** a * w2.values ** b))
+    return num / (hn * params.mu1 * float(np.sum(w1.values ** ts)))
+
+
+def full_grid_bubble(spec, params, N, L):
+    """The bubble on every point of the grid, |x - y|^2 summed in axis
+    order from the grid points -L + (2L/N) i."""
+    x = -L + (2.0 * L / N) * np.arange(N)
+    r2 = np.zeros((1,) * params.n)
+    for d in range(params.n):
+        r2 = r2 + ((x - spec.center[d]) ** 2).reshape(
+            (1,) * d + (N,) + (1,) * (params.n - d - 1))
+    return spec.kappa * (spec.epsilon ** 2 + r2) ** (
+        -0.5 * (params.n - 2.0 * params.s))
+
+
+@pytest.mark.parametrize("n, N, R, L, shift", [
+    (1, 32, 6.0, 10.3, (0.0,)),
+    (1, 128, 12.0, None, (0.37,)),
+    (2, 32, 6.0, 7.7, (0.0, 0.0)),
+    (2, 64, 10.0, 10.3, (0.0, -0.61)),
+    (2, 128, 20.0, None, (0.0, 0.0)),
+    (3, 32, 4.0, 10.3, (0.25, -0.5, 1.1)),
+    (3, 64, 10.0, 7.7, (0.0, 0.0, 0.0)),
+    (3, 128, 10.0, None, (0.0, 0.0, 0.0)),
+    (3, 128, 12.0, 10.3, (1.7, -0.9, 0.4)),
+])
+def test_theta_matches_full_grid_reference(n, N, R, L, shift):
+    # L = 10.3 and 7.7 have non-dyadic spacings, where some mirrored grid
+    # points square to different floats; L = None is the automatic box
+    p = make_params(n, 0.2 if n == 1 else 0.5, 1.2 if n == 1 else 1.5,
+                    0.8, 1.7, -0.6)
+    quad = OverlapQuadrature(N=N, eps=1.0, check_tails=False)
+    L = R / 2.0 + asymptotics.MARGIN_FACTOR if L is None else L
+    got = asymptotics._theta_on_box(p, R, quad, L, shift)
+    assert got.hex() == full_grid_theta(p, R, quad, L, shift).hex()
+    spec = BubbleSpec(quad.eps, shift, 1.3)
+    assert np.array_equal(bubble_field(spec, p, N, L).values,
+                          full_grid_bubble(spec, p, N, L))
+
+
+def test_theta_reference_cases_keep_mirrored_squares_apart():
+    # the non-dyadic boxes of the reference cases hold more distinct
+    # squared offsets than the N/2 + 1 of a mirror-symmetric axis
+    for N, L in ((32, 10.3), (64, 7.7), (128, 10.3)):
+        x = -L + (2.0 * L / N) * np.arange(N)
+        assert np.unique(x ** 2).size > N // 2 + 1
 
 
 def test_theta_rejects_negative_separation():
@@ -291,6 +359,92 @@ def test_branch_endings_golden_digest():
         ends.append(path.termination)
     assert ends == ["completed"] * 2 + ["fold"] * 4 + ["stalled"] * 2
     assert digest.hexdigest() == BRANCH_DIGEST_SHA256
+
+
+def scalar_ladder(p0, gamma_max, tol=1e-12, cond_limit=1e12):
+    """continuation_branch from the public scalar functions, one try at a
+    time: each outer step corrects dgamma, dgamma/2, ... in turn with
+    newton_polish and keeps the first that converges.  Returns every
+    sample as float.hex, the termination and the bracket."""
+    thr_b = gamma_threshold_B(p0)
+    step, max_step = thr_b / 100.0, thr_b / 25.0
+
+    def sample(gamma, k, l):
+        p = p0.replace_gamma(gamma)
+        return (float(gamma), float(k), float(l),
+                float(np.linalg.cond(jacobian(p, k, l))),
+                energy_ordering_check(p, k, l))
+
+    gamma, k, l = 0.0, k_sup(p0), l_sup(p0)
+    samples = [sample(gamma, k, l)]
+    termination = "completed"
+    while gamma < gamma_max:
+        dgamma = min(step, gamma_max - gamma)
+        p = p0.replace_gamma(gamma)
+        try:
+            vel = np.linalg.solve(jacobian(p, k, l),
+                                  -gamma_gradient(p, k, l))
+        except np.linalg.LinAlgError:
+            vel = np.zeros(2)
+        while (dgamma >= 1e-12 * max(1.0, gamma_max)
+               and gamma + dgamma > gamma):
+            ok, k_new, l_new = newton_polish(
+                p0.replace_gamma(gamma + dgamma), k + vel[0] * dgamma,
+                l + vel[1] * dgamma, tol,
+                max_iter=algebraic._CORRECTOR_STEPS)
+            if ok:
+                gamma, k, l = gamma + dgamma, k_new, l_new
+                samples.append(sample(gamma, k, l))
+                break
+            dgamma *= 0.5
+        else:
+            at_fold = samples[-1][3] > max(1e4, 100.0 * samples[0][3])
+            termination = "fold" if at_fold else "stalled"
+            break
+        if samples[-1][3] > cond_limit:
+            termination = "fold"
+            break
+        if len(samples) >= MAX_BRANCH_SAMPLES:
+            termination = "stalled"
+            break
+        step = min(step * 1.2, max_step)
+    bracket = next(((a[0], b[0]) for a, b in zip(samples, samples[1:])
+                    if a[4] and not b[4]), None)
+    return hex_branch(samples, termination, bracket)
+
+
+def hex_branch(samples, termination, bracket):
+    return ([tuple(v.hex() if isinstance(v, float) else v for v in s)
+             for s in samples], termination,
+            bracket and tuple(g.hex() for g in bracket))
+
+
+def batched_ladder(p0, gamma_max, **kwargs):
+    path = continuation_branch(p0, gamma_max, **kwargs)
+    return hex_branch([(s.gamma, s.k, s.l, s.jac_cond, s.ordering_ok)
+                       for s in path.samples], path.termination,
+                      path.gamma1_bracket)
+
+
+def test_branch_ladder_matches_scalar_halvings():
+    # seeded regime-B branches to 0.999 gamma_B, as in the digest test, and
+    # more seeds; every ending occurs among them
+    ends = []
+    for seed in (0, 16, 1, 12, 8, 19, 31, 4, 2, 3, 5, 7):
+        raw = rng_params(np.random.default_rng(seed), regime="B")
+        raw["mu2"] = (1.0, 1.5, 2.0, 2.6, 4.0)[seed % 5] * raw["mu1"]
+        p0 = make_params(gamma=0.0, **raw)
+        gamma_max = 0.999 * gamma_threshold_B(p0)
+        want = scalar_ladder(p0, gamma_max)
+        assert batched_ladder(p0, gamma_max) == want
+        ends.append(want[1])
+    assert set(ends) == {"completed", "fold", "stalled"}
+
+
+def test_branch_ladder_matches_scalar_halvings_at_cond_limit():
+    want = scalar_ladder(P_SYM, 0.99, cond_limit=15.0)
+    assert want[1] == "fold"
+    assert batched_ladder(P_SYM, 0.99, cond_limit=15.0) == want
 
 
 def test_branch_rejects_wrong_regime():

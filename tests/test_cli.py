@@ -416,6 +416,15 @@ def test_perturb_matches_golden_output(capsys):
     assert out == (DATA / "golden_perturb.json").read_text()
 
 
+def test_perturb_matches_golden_output_3d(capsys):
+    # n = 3 at the default N = 128 and automatic boxes, with tail checks
+    code, out, _ = run_main(capsys, "perturb", "--n", "3", "--s", "0.5",
+                            "--alpha", "1.4", "--mu1", "0.8", "--mu2", "1.6",
+                            "--gamma=-0.7", "--R", "10,20,40")
+    assert code == 0
+    assert out == (DATA / "golden_perturb_n3.json").read_text()
+
+
 _GRID64 = ["--mu1", "1", "--mu2", "1.5", "--N", "64", "--L", "10"]
 #: the residual and Sobolev payloads at 17 digits, recorded with numpy
 #: 2.4.6 on x86-64; gamma > 0 runs the system residuals too (case B for
