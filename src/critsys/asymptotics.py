@@ -18,11 +18,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import algebraic, regimes
-from .bubbles import BubbleSpec, bubble_field, ground_state_amplitude, \
-    sobolev_constant_closed_form
+from .bubbles import (BubbleSpec, _distinct_bubble, ground_state_amplitude,
+                      sobolev_constant_closed_form)
 from .errors import (DivergenceError, DomainError, NumericalError,
                      QuadratureError, ResolutionError)
 from .params import SystemParams
+from .spectral import _expand
 
 #: conservative rejection threshold for the overlap ratio
 THETA_MAX = 0.1
@@ -104,7 +105,11 @@ class ContinuationPath:
 def _theta_on_box(params: SystemParams, R: float, quad: OverlapQuadrature,
                   L: float, shift) -> float:
     """theta on the box [-L, L)^n for the ground states of strengths mu1
-    and mu2 centred at +R/2 and -R/2 on the e1 axis, plus ``shift``."""
+    and mu2 centred at +R/2 and -R/2 on the e1 axis, plus ``shift``.
+
+    Both bubbles share their offsets on every axis but e1, so every power
+    and the product are formed on their common distinct-offset box; only
+    the two sums see the full grid, in its order."""
     a, b, ts = params.alpha, params.beta, params.two_star
     S = sobolev_constant_closed_form(params).value
     amp = ground_state_amplitude(params, BubbleSpec(quad.eps, (0.0,)), S)
@@ -117,17 +122,17 @@ def _theta_on_box(params: SystemParams, R: float, quad: OverlapQuadrature,
         if kappa == 0.0:
             raise NumericalError("bubble amplitude underflows to 0",
                                  constraint="kappa", value=(mu, amp))
-        return bubble_field(BubbleSpec(quad.eps, center, kappa), params,
-                            quad.N, L)
+        return _distinct_bubble(BubbleSpec(quad.eps, center, kappa), params,
+                               quad.N, L)
 
-    w1, w2 = w(1.0, params.mu1), w(-1.0, params.mu2)
-    hn = w1.h ** params.n
-    overlap = w1.values ** a
-    w2.values **= b
-    overlap *= w2.values
-    num = hn * float(np.sum(overlap))
-    w1.values **= ts
-    den = hn * params.mu1 * float(np.sum(w1.values))
+    (w1, maps), (w2, _) = w(1.0, params.mu1), w(-1.0, params.mu2)
+    hn = (2.0 * L / quad.N) ** params.n
+    overlap = w1 ** a
+    w2 **= b
+    overlap *= w2
+    num = hn * float(np.sum(_expand(overlap, maps)))
+    w1 **= ts
+    den = hn * params.mu1 * float(np.sum(_expand(w1, maps)))
     if not den > 0.0:
         raise ResolutionError("critical integral underflows on this grid",
                               constraint="critical_norm", value=den)

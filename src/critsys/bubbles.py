@@ -28,8 +28,9 @@ import numpy as np
 
 from .errors import DomainError, ResolutionError
 from .params import SystemParams
-from .spectral import (GridField, ResidualReport, _radius_sq, integrate,
-                       pde_residual_single, seminorm)
+from .spectral import (GridField, ResidualReport, _distinct_radius_sq,
+                       _expand, _finite, integrate, pde_residual_single,
+                       seminorm)
 
 #: bubble scale relative to the box half-width when not given explicitly
 DEFAULT_EPS_FRACTION = 1.0 / 30.0
@@ -78,12 +79,21 @@ def bubble_eval(spec: BubbleSpec, params: SystemParams, x):
 def bubble_field(spec: BubbleSpec, params: SystemParams, N: int,
                  L: float) -> GridField:
     """Sample the bubble on the grid of [-L, L)^n."""
+    values, maps = _distinct_bubble(spec, params, N, L)
+    return GridField(params.n, N, L, _expand(values, maps))
+
+
+def _distinct_bubble(spec: BubbleSpec, params: SystemParams, N: int,
+                     L: float):
+    """The bubble on the distinct-offset box of the grid of [-L, L)^n,
+    checked finite, and the index maps that `spectral._expand` takes it to
+    the grid with (see `spectral._distinct_radius_sq`)."""
     decay = 0.5 * (params.n - 2.0 * params.s)
-    values = _radius_sq(params.n, N, L, spec.center)
+    values, maps = _distinct_radius_sq(params.n, N, L, spec.center)
     values += spec.epsilon ** 2
     values **= -decay
     values *= spec.kappa
-    return GridField(params.n, N, L, values)
+    return _finite(values), maps
 
 
 def shape_integral(n: int) -> float:

@@ -116,11 +116,37 @@ def _axis_sum(terms) -> np.ndarray:
 
 
 def _radius_sq(n: int, N: int, L: float, center) -> np.ndarray:
-    """|x - center|^2 on the (N,)*n grid of [-L, L)^n, checked first so
-    that a bad grid is refused before anything of size N^n is built."""
+    """|x - center|^2 on the (N,)*n grid of [-L, L)^n."""
+    return _expand(*_distinct_radius_sq(n, N, L, center))
+
+
+def _distinct_radius_sq(n: int, N: int, L: float, center):
+    """|x - center|^2 on the distinct-offset box of the (N,)*n grid, and the
+    index maps that `_expand` takes it to the grid with.
+
+    The first axis keeps its N points; every other axis keeps one point per
+    distinct float (x_i - center_d)^2, in sorted order, and its map sends
+    each grid index to that point.  A mirror-symmetric axis has N/2 + 1 of
+    them.  Every box value is bit for bit the grid value it stands for, so
+    an elementwise step on the box and then `_expand` gives the grid's
+    values.  The grid is checked first, so that a bad one is refused before
+    anything of size N^n is built."""
     _check_grid(n, N, L)
     x = _axis(N, L)
-    return _axis_sum([(x - center[d]) ** 2 for d in range(n)])
+    terms, maps = [(x - center[0]) ** 2], []
+    for d in range(1, n):
+        values, index = np.unique((x - center[d]) ** 2, return_inverse=True)
+        terms.append(values)
+        maps.append(index)
+    return _axis_sum(terms), maps
+
+
+def _expand(box: np.ndarray, maps) -> np.ndarray:
+    """A distinct-offset box of `_distinct_radius_sq` on the full grid, one
+    `np.take` per reduced axis, the last axis first."""
+    for d in range(len(maps), 0, -1):
+        box = np.take(box, maps[d - 1], axis=d)
+    return box
 
 
 @functools.lru_cache(maxsize=8)
