@@ -348,7 +348,8 @@ def newton_polish(params: SystemParams, k: float, l: float, tol: float,
     stopped after ``max_iter`` steps, at a singular Jacobian or at a
     non-finite iterate.  A step that would leave k, l > 0 is halved down to
     ``_DAMPING_FLOOR``; one that leaves them even then stops the loop at the
-    last iterate."""
+    last iterate.  This is the scalar reference for `_newton`, which takes
+    these steps from many points at once."""
     if k <= 0.0 or l <= 0.0:
         return False, float(k), float(l)
     for _ in range(max_iter):

@@ -37,9 +37,9 @@ MARGIN_FACTOR = 10.0
 FIXED_POINT_MAX_ITER = 200
 #: accepted samples after which a continuation branch stops as stalled
 MAX_BRANCH_SAMPLES = 100_000
-#: the factors of a continuation step's halvings, 1, 1/2, 1/4, ...; a
-#: step is at most gamma_max and its halvings stop below
-#: 1e-12 max(1, gamma_max), so 41 of them suffice
+#: the factors 1, 1/2, 1/4, ... of a continuation step's halving ladder; a
+#: step is at most gamma_max and no rung is below 1e-12 max(1, gamma_max),
+#: so a ladder has at most 40 rungs
 _HALVINGS = 0.5 ** np.arange(48.0)
 
 
@@ -282,8 +282,14 @@ def continuation_branch(params_base: SystemParams, gamma_max: float,
     """Trace (k(gamma), l(gamma)) from the decoupled point at gamma = 0.
 
     Euler predictor on the implicit derivative, Newton corrector with the
-    analytic Jacobian, adaptive steps (halved on corrector failure).  Each
-    accepted sample re-verifies both residuals below 1e-10 and evaluates the
+    analytic Jacobian, adaptive steps.  Each step builds its halving
+    ladder dgamma, dgamma/2, ... down to the last rung of at least
+    1e-12 max(1, gamma_max) that still moves gamma, corrects every rung
+    in one masked `algebraic._newton` pass of at most
+    ``algebraic._CORRECTOR_STEPS`` iterations, and takes the largest rung
+    that converged: the rung, and its k and l, that trying the halvings
+    one at a time with `algebraic.newton_polish` would take.  A step
+    where no rung converges ends the branch.  Each accepted sample re-verifies both residuals below 1e-10 and evaluates the
     energy-ordering certificate; the bracket where the certificate first
     flips is reported as an interval, never a point.  A corrector Jacobian
     condition number above ``cond_limit`` marks a fold: the sample is

@@ -3,16 +3,19 @@
 Single results are emitted as JSON (floats at 17 significant digits, full
 resolved parameters embedded for provenance), tables as CSV with a stable
 column order.  Exit codes: 0 success, 1 domain errors, 2 numerical
-failures, 64 usage errors.  Sweep rows are ordered by grid index.
+failures, 64 usage errors.  A stdout pipe that its reader closes early ends
+the command quietly with exit 0.  Sweep rows are ordered by grid index.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import itertools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -63,9 +66,20 @@ def dumps17(obj, indent=0) -> str:
     return json.dumps(obj)
 
 
+@contextlib.contextmanager
+def _writing(flag, path):
+    """A file of ``path`` that cannot be opened or written is a `DomainError`
+    naming ``flag``."""
+    try:
+        yield
+    except OSError as exc:
+        raise DomainError(f"cannot write the {flag} file: {exc}",
+                          constraint=flag, value=path) from None
+
+
 def _emit(text: str, out_path):
     if out_path:
-        with open(out_path, "w") as fh:
+        with _writing("out", out_path), open(out_path, "w") as fh:
             fh.write(text if text.endswith("\n") else text + "\n")
     else:
         print(text)
@@ -279,7 +293,8 @@ def _cmd_verify(args):
     spec = bubbles.BubbleSpec(epsilon=args.eps, center=(0.0,) * p.n)
     U = bubbles.normalized_bubble_field(p, spec, S, args.N, args.L)
     if args.dump:
-        spectral.dump_field(U, p.s, args.dump)
+        with _writing("dump", args.dump):
+            spectral.dump_field(U, p.s, args.dump)
     payload = {
         "S_s": S,
         "single": _report_payload(spectral.pde_residual_single(p, U)),
@@ -415,9 +430,14 @@ def main(argv=None) -> int:
         # non-finite values end in an error JSON; numpy's warnings are noise
         with np.errstate(all="ignore"):
             _HANDLERS[args.command](args)
+        sys.stdout.flush()
     except CritsysError as exc:
         print(dumps17(exc.to_json()), file=sys.stderr)
         return exc.exit_code
+    except BrokenPipeError:
+        # the reader closed stdout and wants no more output; stdout now
+        # points at devnull, so that the flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0
 
 

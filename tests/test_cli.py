@@ -637,6 +637,36 @@ def test_unreadable_input_file_is_domain_error(tmp_path, capsys, command,
     assert payload["value"] == str(path)
 
 
+@pytest.mark.parametrize("flag, constraint", [("--out", "out"),
+                                              ("--dump", "dump")])
+def test_unwritable_output_path_is_domain_error(tmp_path, capsys, flag,
+                                                constraint):
+    path = tmp_path / "missing-dir" / "x.out"
+    code, out, err = run_main(capsys, "verify", "--n", "3", "--s", "0.5",
+                              "--alpha", "1.5", "--mu1", "1", "--mu2", "1",
+                              "--gamma=-1", "--N", "16", "--L", "4", flag,
+                              str(path))
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert (payload["error"], payload["constraint"], payload["value"]) == \
+        ("domain", constraint, str(path))
+
+
+def test_stdout_closed_by_its_reader_ends_quietly():
+    # as in `critsys classify ... | head -c0`: the read end is closed before
+    # the command writes, so its first write meets a broken pipe
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "critsys.cli", "classify", "--n", "3", "--s",
+         "0.5", "--alpha", "1.5", "--mu1", "1", "--mu2", "1", "--gamma", "2"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    try:
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert (proc.returncode, err) == (0, b"")
+
+
 def test_import_loads_no_scipy():
     # scipy is a test-only dependency: neither the import nor a run of the
     # FFT commands may load it (a lazy scipy.fft import alone costs ~0.3 s)
