@@ -535,7 +535,7 @@ def _newton(params, k, l, tol, max_iter=_POLISH_STEPS):
         f1, f2, jac, _ = _system(params, k, l)
         met = live & (np.maximum(np.abs(f1), np.abs(f2)) <= tol)
         converged |= met
-        live ^= met
+        live &= ~met
         if not live.any():
             break
         # one (2, 2) system per live point, its rows and columns last

@@ -123,7 +123,7 @@ def _theta_on_box(params: SystemParams, R: float, quad: OverlapQuadrature,
             raise NumericalError("bubble amplitude underflows to 0",
                                  constraint="kappa", value=(mu, amp))
         return _distinct_bubble(BubbleSpec(quad.eps, center, kappa), params,
-                               quad.N, L)
+                                quad.N, L)
 
     (w1, maps), (w2, _) = w(1.0, params.mu1), w(-1.0, params.mu2)
     hn = (2.0 * L / quad.N) ** params.n
@@ -282,18 +282,19 @@ def continuation_branch(params_base: SystemParams, gamma_max: float,
     """Trace (k(gamma), l(gamma)) from the decoupled point at gamma = 0.
 
     Euler predictor on the implicit derivative, Newton corrector with the
-    analytic Jacobian, adaptive steps.  Each step builds its halving
-    ladder dgamma, dgamma/2, ... down to the last rung of at least
-    1e-12 max(1, gamma_max) that still moves gamma, corrects every rung
-    in one masked `algebraic._newton` pass of at most
+    analytic Jacobian, adaptive steps.  Each step builds its halving ladder
+    dgamma, dgamma/2, ... down to the last rung of at least
+    1e-12 max(1, gamma_max) that still moves gamma, corrects every rung in
+    one masked `algebraic._newton` pass of at most
     ``algebraic._CORRECTOR_STEPS`` iterations, and takes the largest rung
-    that converged: the rung, and its k and l, that trying the halvings
-    one at a time with `algebraic.newton_polish` would take.  A step
-    where no rung converges ends the branch.  Each accepted sample re-verifies both residuals below 1e-10 and evaluates the
-    energy-ordering certificate; the bracket where the certificate first
-    flips is reported as an interval, never a point.  A corrector Jacobian
-    condition number above ``cond_limit`` marks a fold: the sample is
-    recorded and the branch truncated.
+    that converged: the rung, k and l that trying the halvings one at a
+    time with `algebraic.newton_polish` would take.  A step where no rung
+    converges ends the branch.  Each accepted sample re-verifies both
+    residuals below 1e-10 and evaluates the energy-ordering certificate;
+    the bracket where the certificate first flips is reported as an
+    interval, never a point.  A corrector Jacobian condition number above
+    ``cond_limit`` marks a fold: the sample is recorded and the branch
+    truncated.
     """
     p0 = params_base
     if regimes.case_of(p0) != "B":
@@ -321,9 +322,7 @@ def continuation_branch(params_base: SystemParams, gamma_max: float,
             vel = np.linalg.solve(J, -grad)
         except np.linalg.LinAlgError:
             vel = np.zeros(2)
-        # the halvings dgamma, dgamma/2, ... down to the last that still
-        # moves gamma, corrected all at once; the step takes the largest
-        # that converges, and the branch ends when none does
+        # the halving ladder, its rungs corrected all at once
         ladder = dgamma * _HALVINGS
         ladder = ladder[:np.argmin((ladder >= 1e-12 * max(1.0, gamma_max))
                                    & (gamma + ladder > gamma))]
