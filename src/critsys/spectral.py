@@ -121,16 +121,13 @@ def _radius_sq(n: int, N: int, L: float, center) -> np.ndarray:
 
 
 def _distinct_radius_sq(n: int, N: int, L: float, center):
-    """|x - center|^2 on the distinct-offset box of the (N,)*n grid, and the
-    index maps that `_expand` takes it to the grid with.
+    """|x - center|^2 on the distinct-offset box of the (N,)*n grid, checked
+    first, and the index maps that `_expand` takes it to the grid with.
 
     The first axis keeps its N points; every other axis keeps one point per
-    distinct float (x_i - center_d)^2, in sorted order, and its map sends
-    each grid index to that point.  A mirror-symmetric axis has N/2 + 1 of
-    them.  Every box value is bit for bit the grid value it stands for, so
-    an elementwise step on the box and then `_expand` gives the grid's
-    values.  The grid is checked first, so that a bad one is refused before
-    anything of size N^n is built."""
+    distinct float (x_i - center_d)^2 (N/2 + 1 on a mirror-symmetric axis).
+    Each box value is bit for bit the grid values it stands for, so an
+    elementwise step on the box, then `_expand`, gives the grid's values."""
     _check_grid(n, N, L)
     x = _axis(N, L)
     terms, maps = [(x - center[0]) ** 2], []
