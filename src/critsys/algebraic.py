@@ -543,9 +543,9 @@ def _newton(params, k, l, tol, max_iter=_POLISH_STEPS):
         step = np.zeros((len(k), 2))
         try:
             step[live] = np.linalg.solve(J, F[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            for i, j in enumerate(np.flatnonzero(live)):  # only a singular
-                try:                                      # point stops
+        except np.linalg.LinAlgError:  # only a singular point stops
+            for i, j in enumerate(np.flatnonzero(live)):
+                try:
                     step[j] = np.linalg.solve(J[i], F[i])
                 except np.linalg.LinAlgError:
                     live[j] = False
