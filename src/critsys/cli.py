@@ -47,6 +47,12 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _csv(columns, rows) -> str:
+    """CSV text: the header line, then one line of `_fmt` values per row."""
+    return "\n".join([",".join(columns)]
+                     + [",".join(_fmt(v) for v in row) for row in rows])
+
+
 def dumps17(obj, indent=0) -> str:
     """JSON text with every finite float at 17 significant digits and
     nan, inf and -inf as the strings "nan", "inf" and "-inf"."""
@@ -83,17 +89,6 @@ def _emit(text: str, out_path):
             fh.write(text if text.endswith("\n") else text + "\n")
     else:
         print(text)
-
-
-def _add_param_arguments(sub):
-    sub.add_argument("--params", metavar="FILE",
-                     help="JSON file with n, s, alpha, mu1, mu2, gamma")
-    sub.add_argument("--n", type=int)
-    sub.add_argument("--s", type=float)
-    sub.add_argument("--alpha", type=float)
-    sub.add_argument("--mu1", type=float)
-    sub.add_argument("--mu2", type=float)
-    sub.add_argument("--gamma", type=float)
 
 
 def _load_json_object(path, constraint) -> dict:
@@ -136,66 +131,70 @@ def build_parser() -> argparse.ArgumentParser:
                         help="seed for randomized checks")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_classify = sub.add_parser("classify", help="regime classification")
-    _add_param_arguments(p_classify)
-    p_classify.add_argument("--out")
+    # flags that several subcommands share, each declared once; argparse
+    # lists a parent's flags before the subcommand's own
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out")
+    params = argparse.ArgumentParser(add_help=False, parents=[out])
+    params.add_argument("--params", metavar="FILE",
+                        help="JSON file with n, s, alpha, mu1, mu2, gamma")
+    params.add_argument("--n", type=int)
+    params.add_argument("--s", type=float)
+    params.add_argument("--alpha", type=float)
+    params.add_argument("--mu1", type=float)
+    params.add_argument("--mu2", type=float)
+    params.add_argument("--gamma", type=float)
+    tol = argparse.ArgumentParser(add_help=False)
+    tol.add_argument("--tol", type=float, default=algebraic.RESIDUAL_TOL)
 
-    p_solve = sub.add_parser("solve", help="solve the coupling system")
-    _add_param_arguments(p_solve)
-    p_solve.add_argument("--tol", type=float, default=algebraic.RESIDUAL_TOL)
+    sub.add_parser("classify", parents=[params], help="regime classification")
+
+    p_solve = sub.add_parser("solve", parents=[params, tol],
+                             help="solve the coupling system")
     p_solve.add_argument("--method", choices=("bisection", "ratio"),
                          default="bisection")
     p_solve.add_argument("--check-domination", type=int, metavar="SAMPLES",
                          default=0,
                          help="also run the randomized domination check")
-    p_solve.add_argument("--out")
 
-    p_energy = sub.add_parser("energy", help="least-energy report")
-    _add_param_arguments(p_energy)
+    p_energy = sub.add_parser("energy", parents=[params],
+                              help="least-energy report")
     p_energy.add_argument("--Ss", type=float, default=None,
                           help="sharp constant for the absolute value")
-    p_energy.add_argument("--out")
 
-    p_sob = sub.add_parser("sobolev", help="sharp constant two ways")
+    p_sob = sub.add_parser("sobolev", parents=[out],
+                           help="sharp constant two ways")
     p_sob.add_argument("--n", type=int, required=True)
     p_sob.add_argument("--s", type=float, required=True)
     p_sob.add_argument("--L", type=float, default=30.0)
     p_sob.add_argument("--N", type=int, default=128)
     p_sob.add_argument("--eps", type=float, default=None)
-    p_sob.add_argument("--out")
 
-    p_verify = sub.add_parser("verify", help="pseudospectral PDE residuals")
-    _add_param_arguments(p_verify)
+    p_verify = sub.add_parser("verify", parents=[params, tol],
+                              help="pseudospectral PDE residuals")
     p_verify.add_argument("--L", type=float, default=30.0)
     p_verify.add_argument("--N", type=int, default=128)
     p_verify.add_argument("--eps", type=float, default=1.0)
-    p_verify.add_argument("--tol", type=float, default=algebraic.RESIDUAL_TOL)
     p_verify.add_argument("--dump", metavar="FILE",
                           help="write the normalized profile as a raw dump")
-    p_verify.add_argument("--out")
 
-    p_pert = sub.add_parser("perturb", help="separation ladder for gamma < 0")
-    _add_param_arguments(p_pert)
+    p_pert = sub.add_parser("perturb", parents=[params, tol],
+                            help="separation ladder for gamma < 0")
     p_pert.add_argument("--R", required=True,
                         help="comma-separated separations, e.g. 10,20,40")
     p_pert.add_argument("--eps", type=float, default=1.0)
     p_pert.add_argument("--N", type=int, default=128)
-    p_pert.add_argument("--tol", type=float, default=1e-12)
-    p_pert.add_argument("--out")
 
-    p_cont = sub.add_parser("continue", help="trace the branch in gamma")
-    _add_param_arguments(p_cont)
+    p_cont = sub.add_parser("continue", parents=[params, tol],
+                            help="trace the branch in gamma")
     p_cont.add_argument("--gamma-max", type=float, required=True)
     p_cont.add_argument("--step", default="auto",
                         help='initial step size or "auto"')
-    p_cont.add_argument("--tol", type=float, default=1e-12)
-    p_cont.add_argument("--out")
 
-    p_sweep = sub.add_parser("sweep", help="grid sweep to CSV")
+    p_sweep = sub.add_parser("sweep", parents=[out, tol],
+                             help="grid sweep to CSV")
     p_sweep.add_argument("--grid", required=True, metavar="FILE",
                          help='JSON {"axes": {...}, "fixed": {...}}')
-    p_sweep.add_argument("--tol", type=float, default=algebraic.RESIDUAL_TOL)
-    p_sweep.add_argument("--out")
 
     return parser
 
@@ -205,19 +204,18 @@ _parser = functools.cache(build_parser)
 
 
 # ---------------------------------------------------------------------------
-# command handlers
+# command handlers: each returns a JSON payload or CSV (columns, rows)
 
 def _cmd_classify(args):
     p = _resolve_params(args)
     regime = regimes.classify(p)
-    payload = {
+    return {
         "label": regime.label,
         "gammaA": regime.gamma_threshold_A,
         "gammaB": regime.gamma_threshold_B,
         "notes": list(regime.notes),
         "params": _params_payload(p),
     }
-    _emit(dumps17(payload), args.out)
 
 
 def _solve_for(p: SystemParams, method: str, tol: float):
@@ -240,7 +238,7 @@ def _cmd_solve(args):
             "violations": report.violations,
             "worst_margin": report.worst_margin,
         }
-    _emit(dumps17(payload), args.out)
+    return payload
 
 
 def _cmd_energy(args):
@@ -250,7 +248,7 @@ def _cmd_energy(args):
     if regime.label in regimes.ATTAINED:
         solution = algebraic.find_k0_l0(p)
     report = regimes.least_energy(p, solution=solution, S_s=args.Ss)
-    payload = {
+    return {
         "label": regime.label,
         "dimensionless_A": report.dimensionless_A,
         "absolute_A": report.absolute_A,
@@ -259,7 +257,6 @@ def _cmd_energy(args):
         if report.minimizer_coeffs else None,
         "params": _params_payload(p),
     }
-    _emit(dumps17(payload), args.out)
 
 
 def _cmd_sobolev(args):
@@ -269,7 +266,7 @@ def _cmd_sobolev(args):
                         mu1=1.0, mu2=1.0, gamma=0.0)
     spectral_est = bubbles.sobolev_constant_spectral(dummy, L=args.L, N=args.N,
                                                      eps=args.eps)
-    payload = {
+    return {
         "n": args.n, "s": args.s,
         "closed_form": closed,
         "spectral": spectral_est.value,
@@ -279,7 +276,6 @@ def _cmd_sobolev(args):
         "eps": args.eps if args.eps is not None
         else args.L * bubbles.DEFAULT_EPS_FRACTION,
     }
-    _emit(dumps17(payload), args.out)
 
 
 def _report_payload(rep: spectral.ResidualReport) -> dict:
@@ -312,7 +308,7 @@ def _cmd_verify(args):
                 "system_eq1": _report_payload(rep1),
                 "system_eq2": _report_payload(rep2),
             })
-    _emit(dumps17(payload), args.out)
+    return payload
 
 
 def _cmd_perturb(args):
@@ -324,12 +320,11 @@ def _cmd_perturb(args):
                           value=args.R)
     quad = asymptotics.OverlapQuadrature(N=args.N, eps=args.eps)
     rows = asymptotics.energy_gap_vs_R(p, R_list, quad=quad, tol=args.tol)
-    payload = {
+    return {
         "rows": [{"R": r.R, "theta": r.theta, "tR": r.tR, "sR": r.sR,
                   "upper_bound": r.upper_bound, "gap": r.gap} for r in rows],
         "params": _params_payload(p),
     }
-    _emit(dumps17(payload), args.out)
 
 
 def _cmd_continue(args):
@@ -337,12 +332,8 @@ def _cmd_continue(args):
     step = None if args.step == "auto" else float(args.step)
     path = asymptotics.continuation_branch(p, gamma_max=args.gamma_max,
                                            step=step, tol=args.tol)
-    lines = [",".join(CONTINUE_COLUMNS)]
-    for row in path.samples:
-        lines.append(",".join(_fmt(v) for v in
-                              (row.gamma, row.k, row.l, row.k + row.l,
-                               row.ordering_ok)))
-    _emit("\n".join(lines), args.out)
+    return CONTINUE_COLUMNS, [(row.gamma, row.k, row.l, row.k + row.l,
+                               row.ordering_ok) for row in path.samples]
 
 
 def _sweep_rows(points, tol):
@@ -403,10 +394,8 @@ def _cmd_sweep(args):
         point.update(dict(zip(axis_names, combo)))
         points.append(point)
 
-    lines = [",".join(SWEEP_COLUMNS)]
-    for row in _sweep_rows(points, args.tol):
-        lines.append(",".join(_fmt(row.get(col, "")) for col in SWEEP_COLUMNS))
-    _emit("\n".join(lines), args.out)
+    return SWEEP_COLUMNS, [[row.get(col, "") for col in SWEEP_COLUMNS]
+                           for row in _sweep_rows(points, args.tol)]
 
 
 _HANDLERS = {
@@ -429,7 +418,13 @@ def main(argv=None) -> int:
     try:
         # non-finite values end in an error JSON; numpy's warnings are noise
         with np.errstate(all="ignore"):
-            _HANDLERS[args.command](args)
+            tol = getattr(args, "tol", 0.0)
+            if not 0.0 <= tol < math.inf:
+                raise DomainError("tol must be a finite number >= 0",
+                                  constraint="tol", value=tol)
+            result = _HANDLERS[args.command](args)
+            _emit(dumps17(result) if isinstance(result, dict)
+                  else _csv(*result), args.out)
         sys.stdout.flush()
     except CritsysError as exc:
         print(dumps17(exc.to_json()), file=sys.stderr)

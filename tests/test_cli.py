@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -152,6 +153,116 @@ def test_parser_built_once_answers_as_a_fresh_one(monkeypatch, capsys):
     assert [code for code, _, _ in cached] == [64, 0, 0]
     monkeypatch.setattr(cli, "_parser", cli.build_parser)
     assert run_all() == cached
+
+
+#: every option of the parser as (dest, default, type, required, choices),
+#: by subcommand; recorded before the shared flags moved to parent parsers
+_NONE = (None, None, False, None)
+_PARAM_OPTIONS = {
+    "--params": ("params", *_NONE), "--n": ("n", None, int, False, None),
+    "--s": ("s", None, float, False, None),
+    "--alpha": ("alpha", None, float, False, None),
+    "--mu1": ("mu1", None, float, False, None),
+    "--mu2": ("mu2", None, float, False, None),
+    "--gamma": ("gamma", None, float, False, None),
+}
+PARSER_OPTIONS = {
+    "critsys": {"--seed": ("seed", 0, int, False, None)},
+    "classify": {**_PARAM_OPTIONS, "--out": ("out", *_NONE)},
+    "solve": {**_PARAM_OPTIONS,
+              "--tol": ("tol", 1e-12, float, False, None),
+              "--method": ("method", "bisection", None, False,
+                           ("bisection", "ratio")),
+              "--check-domination": ("check_domination", 0, int, False,
+                                     None),
+              "--out": ("out", *_NONE)},
+    "energy": {**_PARAM_OPTIONS, "--Ss": ("Ss", None, float, False, None),
+               "--out": ("out", *_NONE)},
+    "sobolev": {"--n": ("n", None, int, True, None),
+                "--s": ("s", None, float, True, None),
+                "--L": ("L", 30.0, float, False, None),
+                "--N": ("N", 128, int, False, None),
+                "--eps": ("eps", None, float, False, None),
+                "--out": ("out", *_NONE)},
+    "verify": {**_PARAM_OPTIONS, "--L": ("L", 30.0, float, False, None),
+               "--N": ("N", 128, int, False, None),
+               "--eps": ("eps", 1.0, float, False, None),
+               "--tol": ("tol", 1e-12, float, False, None),
+               "--dump": ("dump", *_NONE), "--out": ("out", *_NONE)},
+    "perturb": {**_PARAM_OPTIONS, "--R": ("R", None, None, True, None),
+                "--eps": ("eps", 1.0, float, False, None),
+                "--N": ("N", 128, int, False, None),
+                "--tol": ("tol", 1e-12, float, False, None),
+                "--out": ("out", *_NONE)},
+    "continue": {**_PARAM_OPTIONS,
+                 "--gamma-max": ("gamma_max", None, float, True, None),
+                 "--step": ("step", "auto", None, False, None),
+                 "--tol": ("tol", 1e-12, float, False, None),
+                 "--out": ("out", *_NONE)},
+    "sweep": {"--grid": ("grid", None, None, True, None),
+              "--tol": ("tol", 1e-12, float, False, None),
+              "--out": ("out", *_NONE)},
+}
+
+
+def _options(parser):
+    return {a.option_strings[0]: (a.dest, a.default, a.type, a.required,
+                                  a.choices)
+            for a in parser._actions if a.option_strings and a.dest != "help"}
+
+
+def test_parser_options_are_unchanged():
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    got = {"critsys": _options(parser)}
+    got.update((name, _options(p)) for name, p in sub.choices.items())
+    assert got == PARSER_OPTIONS
+
+
+@pytest.mark.parametrize("command", sorted(set(PARSER_OPTIONS) - {"critsys"}))
+def test_every_subcommand_has_help(capsys, command):
+    code, out, err = run_main(capsys, command, "--help")
+    assert code == 0 and err == ""
+    assert out.startswith(f"usage: critsys {command} ")
+
+
+TOL_COMMANDS = {
+    "solve": ["solve", "--n", "3", "--s", "0.5", "--alpha", "1.5", "--mu1",
+              "1", "--mu2", "2", "--gamma", "1.5"],
+    "verify": ["verify", "--n", "3", "--s", "0.5", "--alpha", "1.5",
+               "--mu1", "1", "--mu2", "2", "--gamma", "1.5", "--N", "16",
+               "--L", "4"],
+    "perturb": ["perturb", "--n", "2", "--s", "0.3", "--alpha", "1.2",
+                "--mu1", "1", "--mu2", "1.5", "--gamma=-0.3", "--R", "10",
+                "--N", "64"],
+    "continue": ["continue", "--n", "3", "--s", "0.5", "--alpha", "1.5",
+                 "--mu1", "1", "--mu2", "2", "--gamma", "0", "--gamma-max",
+                 "0.5"],
+    "sweep": ["sweep", "--grid", str(DATA / "sweep_grid.json")],
+}
+
+
+@pytest.mark.parametrize("tol", ["--tol=nan", "--tol=inf", "--tol=-1"])
+@pytest.mark.parametrize("command", sorted(TOL_COMMANDS))
+def test_tol_outside_its_domain_is_domain_error(capsys, command, tol):
+    code, out, err = run_main(capsys, *TOL_COMMANDS[command], tol)
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert (payload["error"], payload["constraint"]) == ("domain", "tol")
+
+
+@pytest.mark.parametrize("command, want", [
+    ("solve", (0, None)), ("verify", (0, None)), ("continue", (0, None)),
+    ("sweep", (0, None)), ("perturb", (2, "divergence"))])
+def test_tol_zero_is_accepted(capsys, command, want):
+    # a zero bound is a valid request; perturb's fixed point cannot reach a
+    # zero defect, and says so
+    code, out, err = run_main(capsys, *TOL_COMMANDS[command], "--tol", "0")
+    assert (code, err and json.loads(err)["error"] or None) == want
+    if command == "solve":
+        payload = json.loads(out)
+        assert payload["res1"] == payload["res2"] == 0.0
 
 
 def test_energy_command(tmp_path, capsys):
