@@ -716,8 +716,12 @@ def check_domination(params: SystemParams, solution: CouplingSolution,
     Draws log-uniform (c, d); every pair with F1 >= 0 and F2 >= 0 must
     satisfy c + d >= k0 + l0 - DOMINATION_SLACK.  A violating pair raises
     `CounterexampleError` with the pair attached; this signals either a
-    solver bug or parameters outside the theorem hypotheses.
+    solver bug or parameters outside the theorem hypotheses.  A negative
+    ``samples`` is a `DomainError`.
     """
+    if samples < 0:
+        raise DomainError("samples must be nonnegative", constraint="samples",
+                          value=samples)
     rng = np.random.default_rng(seed)
     k0, l0 = solution.k, solution.l
     lo_c, hi_c = k0 / 10.0, 10.0 * max(k0, k_sup(params))

@@ -13,6 +13,7 @@ bracketing the coupling value where the certificate first fails.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -290,20 +291,25 @@ def continuation_branch(params_base: SystemParams, gamma_max: float,
     that converged: the rung, k and l that trying the halvings one at a
     time with `algebraic.newton_polish` would take.  A step where no rung
     converges ends the branch.  Each accepted sample re-verifies both
-    residuals below 1e-10 and evaluates the energy-ordering certificate;
-    the bracket where the certificate first flips is reported as an
-    interval, never a point.  A corrector Jacobian condition number above
-    ``cond_limit`` marks a fold: the sample is recorded and the branch
-    truncated.
+    residuals below max(tol, 1e-10), from the evaluation of the system that
+    also gives the next predictor, and evaluates the energy-ordering
+    certificate; the bracket where the certificate first flips is reported
+    as an interval, never a point.  A corrector Jacobian condition number
+    above ``cond_limit`` marks a fold: the sample is recorded and the
+    branch truncated.  ``gamma_max`` and a given ``step`` must be positive
+    and finite.
     """
     p0 = params_base
     if regimes.case_of(p0) != "B":
         raise DomainError("continuation needs n > 4s and 1 < alpha, beta < 2",
                           constraint="regime",
                           value=(p0.n, p0.s, p0.alpha, p0.beta))
-    if not gamma_max > 0.0:
-        raise DomainError("gamma_max must be positive", constraint="gamma_max",
-                          value=gamma_max)
+    if not 0.0 < gamma_max < math.inf:
+        raise DomainError("gamma_max must be positive and finite",
+                          constraint="gamma_max", value=gamma_max)
+    if step is not None and not 0.0 < step < math.inf:
+        raise DomainError("step must be positive and finite",
+                          constraint="step", value=step)
     thr_b = regimes.gamma_threshold_B(p0)
     if step is None:
         step = thr_b / 100.0
@@ -311,13 +317,13 @@ def continuation_branch(params_base: SystemParams, gamma_max: float,
 
     k, l = algebraic._decoupled_pair(p0)
     gamma = 0.0
-    samples = [_accept(p0.replace_gamma(0.0), gamma, k, l)]
+    sample, J, grad = _accept(p0.replace_gamma(0.0), gamma, k, l, tol)
+    samples = [sample]
     termination = "completed"
 
     while gamma < gamma_max:
         dgamma = min(step, gamma_max - gamma)
         # the Euler velocity at (gamma, k, l), which every halving shares
-        _, _, J, grad = algebraic._system(p0.replace_gamma(gamma), k, l)
         try:
             vel = np.linalg.solve(J, -grad)
         except np.linalg.LinAlgError:
@@ -340,7 +346,8 @@ def continuation_branch(params_base: SystemParams, gamma_max: float,
             break
         i = ok.argmax()
         gamma, k, l = float(gammas[i]), float(ks[i]), float(ls[i])
-        samples.append(_accept(p0.replace_gamma(gamma), gamma, k, l))
+        sample, J, grad = _accept(p0.replace_gamma(gamma), gamma, k, l, tol)
+        samples.append(sample)
         if samples[-1].jac_cond > cond_limit:
             termination = "fold"
             break
@@ -358,13 +365,15 @@ def continuation_branch(params_base: SystemParams, gamma_max: float,
                             termination=termination)
 
 
-def _accept(params, gamma, k, l) -> BranchSample:
-    f1, f2, J, _ = algebraic._system(params, k, l)
+def _accept(params, gamma, k, l, tol):
+    """The sample at (gamma, k, l), and the Jacobian and gamma gradient of
+    the system there."""
+    f1, f2, J, grad = algebraic._system(params, k, l)
     res = float(max(abs(f1), abs(f2)))
-    if res > 1e-10:
+    if res > max(tol, 1e-10):
         raise DivergenceError("accepted sample violates the residual bound",
                               constraint="residual", value=res)
     cond = float(np.linalg.cond(J))
     ok = regimes.energy_ordering_check(params, k, l)
     return BranchSample(gamma=float(gamma), k=float(k), l=float(l),
-                        jac_cond=cond, ordering_ok=ok)
+                        jac_cond=cond, ordering_ok=ok), J, grad

@@ -329,7 +329,11 @@ def _cmd_perturb(args):
 
 def _cmd_continue(args):
     p = _resolve_params(args)
-    step = None if args.step == "auto" else float(args.step)
+    try:
+        step = None if args.step == "auto" else float(args.step)
+    except ValueError as exc:
+        raise DomainError(f'step must be "auto" or a number: {exc}',
+                          constraint="step", value=args.step) from None
     path = asymptotics.continuation_branch(p, gamma_max=args.gamma_max,
                                            step=step, tol=args.tol)
     return CONTINUE_COLUMNS, [(row.gamma, row.k, row.l, row.k + row.l,

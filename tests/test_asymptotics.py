@@ -25,6 +25,10 @@ from conftest import rng_params
 BRANCH_DIGEST_SHA256 = \
     "85cf8a514ce1853e5baf5b8dce73a7d6c2945f4f741c18054ec993880957cc99"
 
+#: the same over the two branches of test_corrector_cap_golden_digest
+CORRECTOR_CAP_DIGEST_SHA256 = \
+    "fa238162fac28815dd64221af5b7c4695b8a11676fbc971825317650fda05465"
+
 P_NEG = make_params(3, 0.5, 1.5, 1.0, 2.0, -1.0)
 P_SYM = make_params(3, 0.5, 1.5, 1.0, 1.0, 0.3)
 
@@ -339,12 +343,13 @@ def test_branch_genuine_fold_for_asymmetric_strengths():
     assert all(b > a for a, b in zip(gammas, gammas[1:]))
 
 
-def test_branch_endings_golden_digest():
-    # regime-B branches to 0.999 gamma_B with mu2/mu1 = 1, 1.5, 2, 2.6 or 4
-    # by seed; the seeds are picked so that every ending occurs
+def seeded_branches_digest(seeds):
+    """sha256 over the samples, ends and brackets of regime-B branches to
+    0.999 gamma_B with mu2/mu1 = 1, 1.5, 2, 2.6 or 4 by seed, and the
+    endings."""
     digest = hashlib.sha256()
     ends = []
-    for seed in (0, 16, 1, 12, 8, 19, 31, 4):
+    for seed in seeds:
         raw = rng_params(np.random.default_rng(seed), regime="B")
         raw["mu2"] = (1.0, 1.5, 2.0, 2.6, 4.0)[seed % 5] * raw["mu1"]
         p0 = make_params(gamma=0.0, **raw)
@@ -357,8 +362,22 @@ def test_branch_endings_golden_digest():
                       f"{bracket and tuple(g.hex() for g in bracket)}\n"
                       .encode())
         ends.append(path.termination)
+    return digest.hexdigest(), ends
+
+
+def test_branch_endings_golden_digest():
+    # the seeds are picked so that every ending occurs
+    digest, ends = seeded_branches_digest((0, 16, 1, 12, 8, 19, 31, 4))
     assert ends == ["completed"] * 2 + ["fold"] * 4 + ["stalled"] * 2
-    assert digest.hexdigest() == BRANCH_DIGEST_SHA256
+    assert digest == BRANCH_DIGEST_SHA256
+
+
+def test_corrector_cap_golden_digest():
+    # on both branches some corrector needs all algebraic._CORRECTOR_STEPS
+    # = 25 Newton steps: with 24 their samples change and seed 217 folds
+    digest, ends = seeded_branches_digest((35, 217))
+    assert ends == ["completed", "completed"]
+    assert digest == CORRECTOR_CAP_DIGEST_SHA256
 
 
 def scalar_ladder(p0, gamma_max, tol=1e-12, cond_limit=1e12):
@@ -445,6 +464,17 @@ def test_branch_ladder_matches_scalar_halvings_at_cond_limit():
     want = scalar_ladder(P_SYM, 0.99, cond_limit=15.0)
     assert want[1] == "fold"
     assert batched_ladder(P_SYM, 0.99, cond_limit=15.0) == want
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"gamma_max": math.inf}, {"gamma_max": math.nan},
+    {"gamma_max": 0.5, "step": 0.0}, {"gamma_max": 0.5, "step": -0.1},
+    {"gamma_max": 0.5, "step": math.nan}, {"gamma_max": 0.5, "step": math.inf}])
+def test_branch_rejects_step_or_gamma_max_outside_its_domain(kwargs):
+    with pytest.raises(DomainError) as err:
+        continuation_branch(P_SYM, **kwargs)
+    assert err.value.constraint == ("step" if "step" in kwargs
+                                    else "gamma_max")
 
 
 def test_branch_rejects_wrong_regime():

@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 from critsys import cli
+from critsys.algebraic import eval_F1, eval_F2
 from critsys.cli import dumps17, main
+from critsys.params import make_params
 from critsys.spectral import load_field
 
 DATA = Path(__file__).parent / "data"
@@ -588,6 +590,46 @@ def test_continue_command_csv(tmp_path, capsys):
     closed = (1.0 + 0.3 / 2.0) ** -2.0
     assert float(last[1]) == pytest.approx(closed, abs=1e-9)
     assert last[4] == "true"
+
+
+CONTINUE = ["continue", "--n", "3", "--s", "0.5", "--alpha", "1.5", "--mu1",
+            "1", "--mu2", "2", "--gamma", "0", "--gamma-max", "1"]
+
+
+def test_continue_accepts_samples_at_a_looser_tol(capsys):
+    # the corrector converges to 1e-9 and the acceptance check holds each
+    # sample to the same bound, not to a tighter one of its own
+    code, out, err = run_main(capsys, *CONTINUE, "--tol", "1e-9")
+    assert code == 0 and err == ""
+    rows = [[float(v) for v in line.split(",")[:3]]
+            for line in out.strip().splitlines()[1:]]
+    assert len(rows) > 1
+    for gamma, k, l in rows:
+        p = make_params(3, 0.5, 1.5, 1.0, 2.0, gamma)
+        assert abs(eval_F1(p, k, l)) <= 1e-9 and abs(eval_F2(p, k, l)) <= 1e-9
+
+
+@pytest.mark.parametrize("flag, constraint, value", [
+    ("--step=abc", "step", "abc"), ("--step=0", "step", 0),
+    ("--step=-1", "step", -1), ("--step=nan", "step", "nan"),
+    ("--gamma-max=inf", "gamma_max", "inf")])
+def test_continue_bad_step_or_gamma_max_is_domain_error(capsys, flag,
+                                                        constraint, value):
+    code, out, err = run_main(capsys, *CONTINUE, flag)
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert (payload["error"], payload["constraint"], payload["value"]) == \
+        ("domain", constraint, value)
+
+
+def test_negative_domination_samples_is_domain_error(tmp_path, capsys):
+    params = write_params(tmp_path, gamma=2.0)
+    code, out, err = run_main(capsys, "solve", "--params", params,
+                              "--check-domination", "-5")
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert (payload["error"], payload["constraint"], payload["value"]) == \
+        ("domain", "samples", -5)
 
 
 def test_sweep_matches_golden_file(tmp_path, capsys):
