@@ -424,7 +424,7 @@ def main(argv=None) -> int:
         with np.errstate(all="ignore"):
             tol = getattr(args, "tol", 0.0)
             if not 0.0 <= tol < math.inf:
-                raise DomainError("tol must be a finite number >= 0",
+                raise DomainError("tol must be finite and nonnegative",
                                   constraint="tol", value=tol)
             result = _HANDLERS[args.command](args)
             _emit(dumps17(result) if isinstance(result, dict)
