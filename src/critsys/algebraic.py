@@ -81,7 +81,7 @@ def _pow(log_x, *exponents):
 
 def _stack(points) -> SystemParams:
     """``points`` as one `SystemParams` of arrays, which `k_sup`, `l_sup`,
-    `_curve`, `_F` and `_system` read elementwise."""
+    `_curve`, `_residuals` and `_system` read elementwise."""
     return SystemParams(*np.array(
         [(p.n, p.s, p.alpha, p.beta, p.mu1, p.mu2, p.gamma) for p in points],
         dtype=float).reshape(len(points), 7).T)
@@ -162,10 +162,9 @@ def eval_F2(params: SystemParams, k, l):
     return _scalar(_residuals(params, k, l)[1])
 
 
-def _F(params, k, l):
-    """F1 and F2 at unchecked (k, l), or at arrays of them, and the logs,
-    coefficients and powers that `_system` goes on from; the caller
-    silences numpy's floating-point warnings.
+def _residuals(params, k, l):
+    """F1 and F2 at unchecked (k, l), or at arrays of them, non-finite
+    entries left in unwarned.
 
     log k and log l are taken once; every power is exp(p log x), the
     product `_powp` forms, with x**0 = 1 also at x = 0 (F1(0, l) at
@@ -173,39 +172,75 @@ def _F(params, k, l):
     """
     a, b, ts, g = params.alpha, params.beta, params.two_star, params.gamma
     r = 0.5 * (ts - 2.0)
-    log_k = np.log(np.asarray(k, dtype=float))
-    log_l = np.log(np.asarray(l, dtype=float))
-    k_r, k_a, k_a2 = _pow(log_k, r, 0.5 * a, 0.5 * (a - 2.0))
-    l_r, l_b, l_b2 = _pow(log_l, r, 0.5 * b, 0.5 * (b - 2.0))
-    ca, cb = a * g / ts, b * g / ts
-    f1 = params.mu1 * k_r + ca * k_a2 * l_b - 1.0
-    f2 = params.mu2 * l_r + cb * k_a * l_b2 - 1.0
-    return f1, f2, (log_k, log_l, ca, cb, k_a, k_a2, l_b, l_b2)
-
-
-def _residuals(params, k, l):
-    """F1 and F2 from `_F`, non-finite entries left in unwarned."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return _F(params, k, l)[:2]
+        log_k = np.log(np.asarray(k, dtype=float))
+        log_l = np.log(np.asarray(l, dtype=float))
+        k_r, k_a, k_a2 = _pow(log_k, r, 0.5 * a, 0.5 * (a - 2.0))
+        l_r, l_b, l_b2 = _pow(log_l, r, 0.5 * b, 0.5 * (b - 2.0))
+        f1 = params.mu1 * k_r + (a * g / ts) * k_a2 * l_b - 1.0
+        f2 = params.mu2 * l_r + (b * g / ts) * k_a * l_b2 - 1.0
+    return f1, f2
 
 
-def _system(params, k, l):
+def _system(params, k, l, tables=None):
     """`_residuals` with the Jacobian of (F1, F2) in (k, l), whose first two
-    axes are its rows and columns, and their gradient in gamma."""
-    a, b, ts = params.alpha, params.beta, params.two_star
-    r = 0.5 * (ts - 2.0)
+    axes are its rows and columns, and their gradient in gamma.
+
+    k and l share a shape, and ``params`` holds floats or arrays of it;
+    ``tables`` is their `_system_tables`, which a caller that evaluates
+    the system many times forms once.  Whatever the number of points, a
+    call is a dozen numpy calls: each term is a product (c k^p) l^q, one
+    `np.log` and one `np.exp` give every power, and each equation's own
+    and coupling terms are added column by column into F_i + 1 and row i
+    of the Jacobian.  Every operand order is that of `_residuals`."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        f1, f2, (log_k, log_l, ca, cb, k_a, k_a2, l_b, l_b2) = \
-            _F(params, k, l)
-        k_r1, k_a4 = _pow(log_k, r - 1.0, 0.5 * (a - 4.0))
-        l_r1, l_b4 = _pow(log_l, r - 1.0, 0.5 * (b - 4.0))
-        jac = np.array([
-            [params.mu1 * r * k_r1 + ca * 0.5 * (a - 2.0) * k_a4 * l_b,
-             ca * 0.5 * b * k_a2 * l_b2],
-            [cb * 0.5 * a * k_a2 * l_b2,
-             params.mu2 * r * l_r1 + cb * 0.5 * (b - 2.0) * k_a * l_b4]])
-        grad = np.array([(a / ts) * k_a2 * l_b, (b / ts) * k_a * l_b2])
-    return f1, f2, jac, grad
+        logs = np.log(np.array((k, l), dtype=float))
+        exps, zero, own, coupling = tables or _system_tables(params,
+                                                             np.ndim(k))
+        pw = np.exp(exps * logs[:, None])
+        np.copyto(pw, 1.0, where=zero)  # x**0 = 1, also at x = 0
+        shape = pw.shape[2:]
+        own = own * pw[0, :8].reshape((2, 4) + shape)
+        own *= pw[1, :8].reshape((2, 4) + shape)
+        rows = coupling * pw[0, 8:].reshape((2, 3) + shape)
+        rows *= pw[1, 8:].reshape((2, 3) + shape)
+        rows += own[:, :3]
+        f = rows[:, 0] - 1.0
+    return f[0], f[1], rows[:, 1:], own[:, 3]
+
+
+def _system_tables(params, k_ndim):
+    """The exponents of k and of l that `_system` takes for ``params`` at
+    a k of ``k_ndim`` axes, where they are 0, and the coefficients of its
+    own and coupling terms, padded to broadcast against k.  Equation 1's
+    terms are the own terms of F1, J11, J12 and dF1/dgamma, then the
+    coupling terms of F1, J11, J12; equation 2's the same for F2, J21, J22
+    and dF2/dgamma.  A missing own term has c = -0.0, which adds nothing."""
+    a, b, ts, g = params.alpha, params.beta, params.two_star, params.gamma
+    mu1, mu2 = params.mu1, params.mu2
+    r = 0.5 * (ts - 2.0)
+    z = r * 0.0  # a zero exponent of r's shape
+    ndim = 2 + k_ndim
+    exps = _table(
+        [[r, r - 1.0, z, 0.5 * (a - 2.0), z, z, z, 0.5 * a,
+          0.5 * (a - 2.0), 0.5 * (a - 4.0), 0.5 * (a - 2.0),
+          0.5 * a, 0.5 * (a - 2.0), 0.5 * a],
+         [z, z, z, 0.5 * b, r, z, r - 1.0, 0.5 * (b - 2.0),
+          0.5 * b, 0.5 * b, 0.5 * (b - 2.0),
+          0.5 * (b - 2.0), 0.5 * (b - 2.0), 0.5 * (b - 4.0)]], ndim)
+    own = _table([[mu1, mu1 * r, mu1 * -0.0, a / ts],
+                  [mu2, mu2 * -0.0, mu2 * r, b / ts]], ndim)
+    ca, cb = a * g / ts, b * g / ts
+    coupling = _table([[ca, ca * 0.5 * (a - 2.0), ca * 0.5 * b],
+                       [cb, cb * 0.5 * a, cb * 0.5 * (b - 2.0)]], ndim)
+    return exps, exps == 0.0, own, coupling
+
+
+def _table(rows, ndim):
+    """``rows`` (floats, or arrays of one shape) as an array, padded with
+    unit axes to ``ndim`` so that it broadcasts against arrays of points."""
+    out = np.array(rows, dtype=float)
+    return out.reshape(out.shape + (1,) * (ndim - out.ndim))
 
 
 def _require_positive_gamma(params):
@@ -527,40 +562,60 @@ def _newton(params, k, l, tol, max_iter=_POLISH_STEPS):
     ``params`` may hold an array of gammas, one per point.  Returns the
     last k and l and the mask of the points `newton_polish` reports
     converged: those whose residuals met ``tol`` at an evaluation made
-    while they were still live."""
-    k, l = np.array(k, dtype=float), np.array(l, dtype=float)
-    live = ~((k <= 0.0) | (l <= 0.0))
+    while they were still live.
+
+    An iteration costs a fixed few dozen numpy calls whatever the number
+    of points: `_system`'s tables are formed once, every point's (2, 2)
+    system is solved in one call, and the damping and stopping rules are
+    applied only on an iteration where a live point needs them."""
+    x = np.array((k, l), dtype=float)
+    live = ~(x <= 0.0).any(axis=0)
     converged = np.zeros_like(live)
+    with np.errstate(over="ignore"):
+        tables = _system_tables(params, 1)
     for _ in range(max_iter):
-        f1, f2, jac, _ = _system(params, k, l)
-        met = live & (np.maximum(np.abs(f1), np.abs(f2)) <= tol)
+        f1, f2, jac, _ = _system(params, x[0], x[1], tables)
+        f = np.array((f1, f2))
+        met = live & (np.abs(f) <= tol).all(axis=0)
         converged |= met
-        live &= ~met
+        live ^= met
         if not live.any():
             break
-        # one (2, 2) system per live point, its rows and columns last
-        J, F = jac.transpose(2, 0, 1)[live], np.array((f1, f2)).T[live]
-        step = np.zeros((len(k), 2))
+        # one (2, 2) system per point, its rows and columns last; a point
+        # that is no longer live solves the identity, never singular
+        J = np.where(live, jac, _EYE).transpose(2, 0, 1)
         try:
-            step[live] = np.linalg.solve(J, F[..., None])[..., 0]
+            step = np.linalg.solve(J, f.T[..., None])[..., 0].T
         except np.linalg.LinAlgError:  # only a singular point stops
-            for i, j in enumerate(np.flatnonzero(live)):
+            step = np.zeros_like(x)
+            for j in np.flatnonzero(live):
                 try:
-                    step[j] = np.linalg.solve(J[i], F[i])
+                    step[:, j] = np.linalg.solve(J[j], f[:, j])
                 except np.linalg.LinAlgError:
                     live[j] = False
-        dk, dl = step.T
-        k1, l1 = k - dk, l - dl
-        if (live & ((k1 <= 0.0) | (l1 <= 0.0))).any():
-            scale = np.ones_like(k)
-            while (halve := live & (scale > _DAMPING_FLOOR) & (
-                    (k - scale * dk <= 0.0) | (l - scale * dl <= 0.0))).any():
-                scale[halve] *= 0.5
-            k1, l1 = k - scale * dk, l - scale * dl
-        move = live & ~((k1 <= 0.0) | (l1 <= 0.0))
-        live = move & np.isfinite(k1) & np.isfinite(l1)
-        k, l = np.where(move, k1, k), np.where(move, l1, l)
-    return k, l, converged
+        x1 = x - step
+        kept = np.where(live, x1, 1.0)
+        if not (kept.min() > 0.0 and kept.max() < math.inf):
+            # a live point leaves k, l > 0 (then its step is halved) or
+            # reaches a non-finite iterate (then it stops after moving)
+            out = (x1 <= 0.0).any(axis=0)
+            if (live & out).any():
+                scale = np.ones_like(x1[0])
+                while (halve := live & (scale > _DAMPING_FLOOR) & (
+                        (x - scale * step <= 0.0).any(axis=0))).any():
+                    scale[halve] *= 0.5
+                x1 = x - scale * step
+                out = (x1 <= 0.0).any(axis=0)
+            live &= ~out
+            x = np.where(live, x1, x)
+            live &= np.isfinite(x1).all(axis=0)
+        else:
+            x = np.where(live, x1, x)
+    return x[0], x[1], converged
+
+
+#: the (2, 2) identity, broadcast against a (2, 2, points) Jacobian
+_EYE = np.eye(2)[..., None]
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from .bubbles import (BubbleSpec, _distinct_bubble, ground_state_amplitude,
 from .errors import (DivergenceError, DomainError, NumericalError,
                      QuadratureError, ResolutionError)
 from .params import SystemParams
-from .spectral import _expand
+from .spectral import _expanded_sum
 
 #: conservative rejection threshold for the overlap ratio
 THETA_MAX = 0.1
@@ -109,8 +109,8 @@ def _theta_on_box(params: SystemParams, R: float, quad: OverlapQuadrature,
     and mu2 centred at +R/2 and -R/2 on the e1 axis, plus ``shift``.
 
     Both bubbles share their offsets on every axis but e1, so every power
-    and the product are formed on their common distinct-offset box; only
-    the two sums see the full grid, in its order."""
+    and the product are formed on their common distinct-offset box, and
+    the two sums are taken from it in the full grid's order."""
     a, b, ts = params.alpha, params.beta, params.two_star
     S = sobolev_constant_closed_form(params).value
     amp = ground_state_amplitude(params, BubbleSpec(quad.eps, (0.0,)), S)
@@ -131,9 +131,9 @@ def _theta_on_box(params: SystemParams, R: float, quad: OverlapQuadrature,
     overlap = w1 ** a
     w2 **= b
     overlap *= w2
-    num = hn * float(np.sum(_expand(overlap, maps)))
+    num = hn * float(_expanded_sum(overlap, maps))
     w1 **= ts
-    den = hn * params.mu1 * float(np.sum(_expand(w1, maps)))
+    den = hn * params.mu1 * float(_expanded_sum(w1, maps))
     if not den > 0.0:
         raise ResolutionError("critical integral underflows on this grid",
                               constraint="critical_norm", value=den)

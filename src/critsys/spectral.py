@@ -35,6 +35,9 @@ _MAGIC = b"CRITSYS1"
 HEADER_BYTES = 32
 #: residuals are reported on |x| <= _CORE_FRACTION * L
 _CORE_FRACTION = 0.125
+#: numpy's pairwise float sum adds runs of up to this many values with
+#: eight accumulators and halves longer runs until they fit
+_PAIRWISE_BLOCK = 128
 
 
 @dataclass
@@ -144,6 +147,32 @@ def _expand(box: np.ndarray, maps) -> np.ndarray:
     for d in range(len(maps), 0, -1):
         box = np.take(box, maps[d - 1], axis=d)
     return box
+
+
+def _expanded_sum(box: np.ndarray, maps):
+    """``np.sum(_expand(box, maps))`` bit for bit, without the full grid.
+
+    numpy sums a contiguous float64 array of N^n > 128 values (a power of
+    two) as a perfect binary tree over blocks of 128 consecutive values,
+    each summed on its own.  So only the trailing axes one block spans are
+    expanded; the block sums are taken along the last axis, their leading
+    axes are expanded, and adjacent pairs are added until one is left."""
+    n, N = box.ndim, box.shape[0]
+    if N ** n <= _PAIRWISE_BLOCK:
+        return np.sum(_expand(box, maps))
+    lead = n - 1  # axes lead, ..., n - 1 are those a block spans
+    while N ** (n - lead) < _PAIRWISE_BLOCK:
+        lead -= 1
+    for d in range(n - 1, max(lead, 1) - 1, -1):
+        box = np.take(box, maps[d - 1], axis=d)
+    sums = np.sum(box.reshape(box.shape[:lead] + (-1, _PAIRWISE_BLOCK)),
+                  axis=-1)
+    for d in range(lead - 1, 0, -1):
+        sums = np.take(sums, maps[d - 1], axis=d)
+    sums = sums.ravel()
+    while sums.size > 1:
+        sums = sums[0::2] + sums[1::2]
+    return sums[0]
 
 
 @functools.lru_cache(maxsize=8)
@@ -278,19 +307,19 @@ def pde_residual_system(params: SystemParams, k: float, l: float,
         raise DomainError("k and l must be positive", constraint="k, l > 0",
                           value=(k, l))
     a, b, ts = params.alpha, params.beta, params.two_star
-    u = U.like(np.sqrt(k) * U.values)
-    v = U.like(np.sqrt(l) * U.values)
     box, win = _core_box(U.n, U.N, U.L)
-    ub, vb = u.values[box], v.values[box]
+    ub, vb = np.sqrt(k) * U.values[box], np.sqrt(l) * U.values[box]
 
+    # u and v are formed on the full grid one at a time, each just before
+    # its transform, so that the two never take memory together
     rhs1 = (params.mu1 * ub ** (ts - 1.0)
             + (a * params.gamma / ts) * ub ** (a - 1.0) * vb ** b)
-    report1 = _core_report(_finite(_frac_laplacian_on(u, params.s, box)),
-                           rhs1, win)
+    report1 = _core_report(_finite(_frac_laplacian_on(
+        U.like(np.sqrt(k) * U.values), params.s, box)), rhs1, win)
     rhs2 = (params.mu2 * vb ** (ts - 1.0)
             + (b * params.gamma / ts) * ub ** a * vb ** (b - 1.0))
-    report2 = _core_report(_finite(_frac_laplacian_on(v, params.s, box)),
-                           rhs2, win)
+    report2 = _core_report(_finite(_frac_laplacian_on(
+        U.like(np.sqrt(l) * U.values), params.s, box)), rhs2, win)
     return report1, report2
 
 

@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +21,8 @@ from critsys.errors import (CounterexampleError, CritsysError, DomainError,
 from critsys.params import make_params
 from critsys.regimes import gamma_threshold_B
 
-from conftest import concave_regime_params, rng_params, symmetric_threshold
+from conftest import (case_edge_draws, concave_regime_params, rng_params,
+                      symmetric_threshold)
 
 
 def symmetric_root(ts, mu, gamma):
@@ -120,6 +122,48 @@ def test_F1_F2_bit_identical_to_explicit_expressions():
             [f1.hex()] * 3
         assert [x.hex() for x in eval_F2(p, k, np.full(3, l))] == \
             [f2.hex()] * 3
+
+
+def system_bits(out, *point):
+    """The bytes of F1, F2, the Jacobian and the gamma gradient that
+    `_system` returned, at ``point`` (an index) of its array form."""
+    return b"".join(np.asarray(x, dtype=float)[(..., *point)].tobytes()
+                    for x in out)
+
+
+def test_system_array_form_equals_scalar_form_per_point():
+    # whole-box draws, a third of them within ulps of alpha = 2, beta = 2
+    # or s = n/4, at log-uniform (k, l)
+    rng = np.random.default_rng(13)
+    points = [p for p, _ in case_edge_draws(rng, 600)]
+    k, l = 10.0 ** rng.uniform(-6.0, 2.0, (2, len(points)))
+    singles = [system_bits(algebraic._system(p, k0, l0))
+               for p, k0, l0 in zip(points, k.tolist(), l.tolist())]
+    # every field an array, as in the sweep tail, with and without the
+    # tables formed once
+    stacked = algebraic._stack(points)
+    for out in (algebraic._system(stacked, k, l),
+                algebraic._system(stacked, k, l,
+                                  algebraic._system_tables(stacked, 1))):
+        assert [system_bits(out, i) for i in range(len(points))] == singles
+    # scalar exponents with an array of gammas, as in a continuation ladder
+    for p in points[:100]:
+        gammas = p.gamma + np.abs(p.gamma) * 0.5 ** np.arange(8.0)
+        ks, ls = 10.0 ** rng.uniform(-6.0, 2.0, (2, 8))
+        ladder = algebraic._system(replace(p, gamma=gammas), ks, ls)
+        assert [system_bits(ladder, i) for i in range(8)] == [
+            system_bits(algebraic._system(p.replace_gamma(g), k0, l0))
+            for g, k0, l0 in zip(gammas.tolist(), ks.tolist(), ls.tolist())]
+    # x**0 = 1 also at k = 0 when alpha = 2 (2* = 10, beta = 8)
+    p = make_params(1, 0.4, 2.0, 1.0, 1.0, 1.0)
+    ks, ls, gammas = np.array([0.0, 0.5]), np.array([1.0, 0.3]), [1.0, 2.0]
+    at_zero = algebraic._system(p, 0.0, 1.0)
+    assert at_zero[0] == 2.0 / 10.0 - 1.0
+    ladder = algebraic._system(replace(p, gamma=np.array(gammas)), ks, ls)
+    assert [system_bits(ladder, i) for i in range(2)] == [
+        system_bits(algebraic._system(p.replace_gamma(g), k0, l0))
+        for g, k0, l0 in zip(gammas, ks.tolist(), ls.tolist())]
+    assert system_bits(ladder, 0) == system_bits(at_zero)
 
 
 def test_F_domain_errors_name_their_argument():

@@ -338,6 +338,22 @@ def test_core_box_is_the_bounding_box_of_the_window():
             win[(0,) * n] = True
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_sum_from_the_box_is_numpys_sum_of_the_grid(n):
+    # values over many decades, so that any change of summation order
+    # shows; N = 2 and 4 in 1-D take numpy's sequential path below eight
+    # values, and 8 <= N^n <= 128 is a single block
+    rng = np.random.default_rng(n)
+    for N in (2, 4, 8, 16, 32, 64, 128):
+        for L in (8.0, 10.3):
+            for center in ((0.0,) * n, tuple(rng.uniform(-1.0, 1.0, n))):
+                box, maps = spectral._distinct_radius_sq(n, N, L, center)
+                values = rng.lognormal(0.0, 3.0, box.shape)
+                want = np.sum(spectral._expand(values, maps))
+                got = spectral._expanded_sum(values, maps)
+                assert got.hex() == want.hex()
+
+
 # ---------------------------------------------------------------------------
 # dump format
 
