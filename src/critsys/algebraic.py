@@ -20,7 +20,7 @@ as exp(p*log(x)) so that no negative-base power is ever formed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -82,9 +82,9 @@ def _pow(log_x, *exponents):
 def _stack(points) -> SystemParams:
     """``points`` as one `SystemParams` of arrays, which `k_sup`, `l_sup`,
     `_curve`, `_residuals` and `_system` read elementwise."""
-    return SystemParams(*np.array(
-        [(p.n, p.s, p.alpha, p.beta, p.mu1, p.mu2, p.gamma) for p in points],
-        dtype=float).reshape(len(points), 7).T)
+    return SystemParams(**{
+        f.name: np.array([getattr(p, f.name) for p in points], dtype=float)
+        for f in fields(SystemParams)})
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,7 @@ FIXED_POINT_MAX_ITER = 200
 #: accepted samples after which a continuation branch stops as stalled
 MAX_BRANCH_SAMPLES = 100_000
 #: the factors 1, 1/2, 1/4, ... of a continuation step's halving ladder; a
-#: step is at most gamma_max and no rung is below 1e-12 max(1, gamma_max),
+#: step is at most gamma_max and no halving is below 1e-12 max(1, gamma_max),
 #: so a ladder has at most 40 rungs
 _HALVINGS = 0.5 ** np.arange(48.0)
 
@@ -283,9 +283,11 @@ def continuation_branch(params_base: SystemParams, gamma_max: float,
     """Trace (k(gamma), l(gamma)) from the decoupled point at gamma = 0.
 
     Euler predictor on the implicit derivative, Newton corrector with the
-    analytic Jacobian, adaptive steps.  Each step builds its halving ladder
-    dgamma, dgamma/2, ... down to the last rung of at least
-    1e-12 max(1, gamma_max) that still moves gamma, corrects every rung in
+    analytic Jacobian, adaptive steps.  Each step builds its halving ladder:
+    the full step dgamma whenever it moves gamma, then dgamma/2, ... down to
+    the last rung of at least 1e-12 max(1, gamma_max) that still moves
+    gamma; the full step that reaches gamma_max has the rung gamma_max
+    itself, so a completed branch ends on it.  It corrects every rung in
     one masked `algebraic._newton` pass of at most
     ``algebraic._CORRECTOR_STEPS`` iterations, and takes the largest rung
     that converged: the rung, k and l that trying the halvings one at a
@@ -330,9 +332,12 @@ def continuation_branch(params_base: SystemParams, gamma_max: float,
             vel = np.zeros(2)
         # the halving ladder, its rungs corrected all at once
         ladder = dgamma * _HALVINGS
-        ladder = ladder[:np.argmin((ladder >= 1e-12 * max(1.0, gamma_max))
-                                   & (gamma + ladder > gamma))]
+        rungs = gamma + ladder > gamma
+        rungs[1:] &= ladder[1:] >= 1e-12 * max(1.0, gamma_max)
+        ladder = ladder[:np.argmin(rungs)]
         gammas = gamma + ladder
+        if dgamma == gamma_max - gamma:
+            gammas[:1] = gamma_max  # gamma + dgamma may round below it
         ks, ls, ok = algebraic._newton(
             replace(p0, gamma=gammas), k + vel[0] * ladder,
             l + vel[1] * ladder, tol, algebraic._CORRECTOR_STEPS)

@@ -22,15 +22,14 @@ expression (primary) and a discrete Rayleigh quotient on a periodic box
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DomainError, ResolutionError
 from .params import SystemParams
-from .spectral import (GridField, ResidualReport, _distinct_radius_sq,
-                       _expand, _finite, integrate, pde_residual_single,
-                       seminorm)
+from .spectral import (GridField, _check_grid, _distinct_radius_sq, _expand,
+                       _finite, integrate, pde_residual_single, seminorm)
 
 #: bubble scale relative to the box half-width when not given explicitly
 DEFAULT_EPS_FRACTION = 1.0 / 30.0
@@ -144,7 +143,9 @@ def sobolev_constant_spectral(params: SystemParams, L: float, N: int,
 
     The truncation error is estimated by doubling the box at the same point
     count; an estimate above 10% of the value raises `ResolutionError`.
+    The box is checked before ``eps`` is derived from it.
     """
+    _check_grid(params.n, N, L)
     if eps is None:
         eps = L * DEFAULT_EPS_FRACTION
     spec = BubbleSpec(epsilon=eps, center=(0.0,) * params.n)
@@ -199,6 +200,5 @@ def residual_study(params: SystemParams, L: float, N: int, eps: float,
         if i + 1 < len(ladder):
             nxt = ladder[i + 1][2].rel_l2_core
             flag = abs(rep.rel_l2_core - nxt) > 0.5 * rep.rel_l2_core
-        out.append((Li, Ni, ResidualReport(rep.rel_l2_core, rep.rel_sup_core,
-                                           truncation_flag=flag)))
+        out.append((Li, Ni, replace(rep, truncation_flag=flag)))
     return out

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import itertools
 import json
@@ -27,8 +28,6 @@ from .params import PARAM_KEYS, SystemParams, make_params, params_from_dict
 USAGE_EXIT = 64
 SWEEP_CAP = 10 ** 6
 
-SWEEP_COLUMNS = ("n", "s", "alpha", "beta", "mu1", "mu2", "gamma",
-                 "label", "dimensionless_A", "error")
 CONTINUE_COLUMNS = ("gamma", "k", "l", "k_plus_l", "ordering_ok")
 
 
@@ -119,9 +118,19 @@ def _resolve_params(args) -> SystemParams:
     return params_from_dict(fields)
 
 
-def _params_payload(p: SystemParams) -> dict:
-    return {"n": p.n, "s": p.s, "alpha": p.alpha, "beta": p.beta,
-            "mu1": p.mu1, "mu2": p.mu2, "gamma": p.gamma}
+@functools.cache
+def _field_names(cls) -> tuple:
+    return tuple(f.name for f in dataclasses.fields(cls))
+
+
+def _record(obj) -> dict:
+    """A dataclass instance's fields by name, in declaration order; the
+    values are its own, not copies."""
+    return {name: getattr(obj, name) for name in _field_names(type(obj))}
+
+
+SWEEP_COLUMNS = (*_field_names(SystemParams), "label", "dimensionless_A",
+                 "error")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -137,62 +146,63 @@ def build_parser() -> argparse.ArgumentParser:
     out.add_argument("--out")
     params = argparse.ArgumentParser(add_help=False, parents=[out])
     params.add_argument("--params", metavar="FILE",
-                        help="JSON file with n, s, alpha, mu1, mu2, gamma")
-    params.add_argument("--n", type=int)
-    params.add_argument("--s", type=float)
-    params.add_argument("--alpha", type=float)
-    params.add_argument("--mu1", type=float)
-    params.add_argument("--mu2", type=float)
-    params.add_argument("--gamma", type=float)
+                        help=f"JSON file with {', '.join(PARAM_KEYS)}")
+    for key in PARAM_KEYS:
+        params.add_argument(f"--{key}", type=int if key == "n" else float)
     tol = argparse.ArgumentParser(add_help=False)
     tol.add_argument("--tol", type=float, default=algebraic.RESIDUAL_TOL)
 
-    sub.add_parser("classify", parents=[params], help="regime classification")
+    def command(name, handler, *parents, help):
+        """A subcommand whose parsed arguments carry its ``handler``."""
+        cmd = sub.add_parser(name, parents=parents, help=help)
+        cmd.set_defaults(handler=handler)
+        return cmd
 
-    p_solve = sub.add_parser("solve", parents=[params, tol],
-                             help="solve the coupling system")
+    command("classify", _cmd_classify, params, help="regime classification")
+
+    p_solve = command("solve", _cmd_solve, params, tol,
+                      help="solve the coupling system")
     p_solve.add_argument("--method", choices=("bisection", "ratio"),
                          default="bisection")
     p_solve.add_argument("--check-domination", type=int, metavar="SAMPLES",
                          default=0,
                          help="also run the randomized domination check")
 
-    p_energy = sub.add_parser("energy", parents=[params],
-                              help="least-energy report")
+    p_energy = command("energy", _cmd_energy, params,
+                       help="least-energy report")
     p_energy.add_argument("--Ss", type=float, default=None,
                           help="sharp constant for the absolute value")
 
-    p_sob = sub.add_parser("sobolev", parents=[out],
-                           help="sharp constant two ways")
+    p_sob = command("sobolev", _cmd_sobolev, out,
+                    help="sharp constant two ways")
     p_sob.add_argument("--n", type=int, required=True)
     p_sob.add_argument("--s", type=float, required=True)
     p_sob.add_argument("--L", type=float, default=30.0)
     p_sob.add_argument("--N", type=int, default=128)
     p_sob.add_argument("--eps", type=float, default=None)
 
-    p_verify = sub.add_parser("verify", parents=[params, tol],
-                              help="pseudospectral PDE residuals")
+    p_verify = command("verify", _cmd_verify, params, tol,
+                       help="pseudospectral PDE residuals")
     p_verify.add_argument("--L", type=float, default=30.0)
     p_verify.add_argument("--N", type=int, default=128)
     p_verify.add_argument("--eps", type=float, default=1.0)
     p_verify.add_argument("--dump", metavar="FILE",
                           help="write the normalized profile as a raw dump")
 
-    p_pert = sub.add_parser("perturb", parents=[params, tol],
-                            help="separation ladder for gamma < 0")
+    p_pert = command("perturb", _cmd_perturb, params, tol,
+                     help="separation ladder for gamma < 0")
     p_pert.add_argument("--R", required=True,
                         help="comma-separated separations, e.g. 10,20,40")
     p_pert.add_argument("--eps", type=float, default=1.0)
     p_pert.add_argument("--N", type=int, default=128)
 
-    p_cont = sub.add_parser("continue", parents=[params, tol],
-                            help="trace the branch in gamma")
+    p_cont = command("continue", _cmd_continue, params, tol,
+                     help="trace the branch in gamma")
     p_cont.add_argument("--gamma-max", type=float, required=True)
     p_cont.add_argument("--step", default="auto",
                         help='initial step size or "auto"')
 
-    p_sweep = sub.add_parser("sweep", parents=[out, tol],
-                             help="grid sweep to CSV")
+    p_sweep = command("sweep", _cmd_sweep, out, tol, help="grid sweep to CSV")
     p_sweep.add_argument("--grid", required=True, metavar="FILE",
                          help='JSON {"axes": {...}, "fixed": {...}}')
 
@@ -214,7 +224,7 @@ def _cmd_classify(args):
         "gammaA": regime.gamma_threshold_A,
         "gammaB": regime.gamma_threshold_B,
         "notes": list(regime.notes),
-        "params": _params_payload(p),
+        "params": _record(p),
     }
 
 
@@ -228,7 +238,7 @@ def _cmd_solve(args):
     p = _resolve_params(args)
     sol = _solve_for(p, args.method, args.tol)
     payload = {"k0": sol.k, "l0": sol.l, "res1": sol.res1, "res2": sol.res2,
-               "method": sol.method, "params": _params_payload(p)}
+               "method": sol.method, "params": _record(p)}
     if args.check_domination:
         report = algebraic.check_domination(p, sol,
                                             samples=args.check_domination,
@@ -248,15 +258,7 @@ def _cmd_energy(args):
     if regime.label in regimes.ATTAINED:
         solution = algebraic.find_k0_l0(p)
     report = regimes.least_energy(p, solution=solution, S_s=args.Ss)
-    return {
-        "label": regime.label,
-        "dimensionless_A": report.dimensionless_A,
-        "absolute_A": report.absolute_A,
-        "attained": report.attained,
-        "minimizer_coeffs": list(report.minimizer_coeffs)
-        if report.minimizer_coeffs else None,
-        "params": _params_payload(p),
-    }
+    return {"label": regime.label, **_record(report), "params": _record(p)}
 
 
 def _cmd_sobolev(args):
@@ -278,11 +280,6 @@ def _cmd_sobolev(args):
     }
 
 
-def _report_payload(rep: spectral.ResidualReport) -> dict:
-    return {"rel_l2_core": rep.rel_l2_core, "rel_sup_core": rep.rel_sup_core,
-            "truncation_flag": rep.truncation_flag}
-
-
 def _cmd_verify(args):
     p = _resolve_params(args)
     S = bubbles.sobolev_constant_closed_form(p).value
@@ -293,8 +290,8 @@ def _cmd_verify(args):
             spectral.dump_field(U, p.s, args.dump)
     payload = {
         "S_s": S,
-        "single": _report_payload(spectral.pde_residual_single(p, U)),
-        "params": _params_payload(p),
+        "single": _record(spectral.pde_residual_single(p, U)),
+        "params": _record(p),
     }
     if p.gamma >= 0.0:
         try:
@@ -305,8 +302,8 @@ def _cmd_verify(args):
             rep1, rep2 = spectral.pde_residual_system(p, sol.k, sol.l, U)
             payload.update({
                 "k0": sol.k, "l0": sol.l,
-                "system_eq1": _report_payload(rep1),
-                "system_eq2": _report_payload(rep2),
+                "system_eq1": _record(rep1),
+                "system_eq2": _record(rep2),
             })
     return payload
 
@@ -320,11 +317,7 @@ def _cmd_perturb(args):
                           value=args.R)
     quad = asymptotics.OverlapQuadrature(N=args.N, eps=args.eps)
     rows = asymptotics.energy_gap_vs_R(p, R_list, quad=quad, tol=args.tol)
-    return {
-        "rows": [{"R": r.R, "theta": r.theta, "tR": r.tR, "sR": r.sR,
-                  "upper_bound": r.upper_bound, "gap": r.gap} for r in rows],
-        "params": _params_payload(p),
-    }
+    return {"rows": [_record(r) for r in rows], "params": _record(p)}
 
 
 def _cmd_continue(args):
@@ -351,8 +344,8 @@ def _sweep_rows(points, tol):
             p, row = None, dict(point, beta="", label="INVALID",
                                 error=f"{exc.code}: {exc}")
         else:
-            row = dict(_params_payload(p), label=regimes.classify(p).label,
-                       error="")
+            row = _record(p)
+            row["label"], row["error"] = regimes.classify(p).label, ""
         row["dimensionless_A"] = ""
         rows.append(row)
         params.append(p)
@@ -402,18 +395,6 @@ def _cmd_sweep(args):
                            for row in _sweep_rows(points, args.tol)]
 
 
-_HANDLERS = {
-    "classify": _cmd_classify,
-    "solve": _cmd_solve,
-    "energy": _cmd_energy,
-    "sobolev": _cmd_sobolev,
-    "verify": _cmd_verify,
-    "perturb": _cmd_perturb,
-    "continue": _cmd_continue,
-    "sweep": _cmd_sweep,
-}
-
-
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
@@ -426,7 +407,7 @@ def main(argv=None) -> int:
             if not 0.0 <= tol < math.inf:
                 raise DomainError("tol must be finite and nonnegative",
                                   constraint="tol", value=tol)
-            result = _HANDLERS[args.command](args)
+            result = args.handler(args)
             _emit(dumps17(result) if isinstance(result, dict)
                   else _csv(*result), args.out)
         sys.stdout.flush()

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -17,9 +17,6 @@ from .errors import DomainError
 
 #: tolerance for closed-form identities that must hold after construction
 IDENTITY_TOL = 1e-12
-
-#: keys of the JSON parameter object accepted by the CLI
-PARAM_KEYS = ("n", "s", "alpha", "mu1", "mu2", "gamma")
 
 
 @dataclass(frozen=True)
@@ -52,12 +49,15 @@ class SystemParams:
     def mirrored(self) -> "SystemParams":
         """The system with its components swapped: alpha <-> beta, mu1 <->
         mu2.  beta is not derived again, which could move it by an ulp."""
-        return SystemParams(self.n, self.s, self.beta, self.alpha,
-                            self.mu2, self.mu1, self.gamma)
+        return replace(self, alpha=self.beta, beta=self.alpha,
+                       mu1=self.mu2, mu2=self.mu1)
 
     def replace_gamma(self, gamma: float) -> "SystemParams":
-        return SystemParams(self.n, self.s, self.alpha, self.beta,
-                            self.mu1, self.mu2, float(gamma))
+        return replace(self, gamma=float(gamma))
+
+
+#: keys of the CLI's JSON parameter object: every field but the derived beta
+PARAM_KEYS = tuple(f.name for f in fields(SystemParams) if f.name != "beta")
 
 
 @dataclass(frozen=True)
@@ -139,8 +139,7 @@ def params_from_dict(obj: dict) -> SystemParams:
     if missing:
         raise DomainError(f"missing parameter fields: {', '.join(missing)}",
                           constraint="params", value=missing)
-    p = make_params(obj["n"], obj["s"], obj["alpha"], obj["mu1"], obj["mu2"],
-                    obj["gamma"])
+    p = make_params(**{k: obj[k] for k in PARAM_KEYS})
     if "beta" in obj:
         _check_finite_real("beta", obj["beta"])
         if abs(float(obj["beta"]) - p.beta) > IDENTITY_TOL:

@@ -380,13 +380,14 @@ def test_corrector_cap_golden_digest():
     assert digest == CORRECTOR_CAP_DIGEST_SHA256
 
 
-def scalar_ladder(p0, gamma_max, tol=1e-12, cond_limit=1e12):
+def scalar_ladder(p0, gamma_max, step=None, tol=1e-12, cond_limit=1e12):
     """continuation_branch from the public scalar functions, one try at a
     time: each outer step corrects dgamma, dgamma/2, ... in turn with
-    newton_polish and keeps the first that converges.  Returns every
+    newton_polish and keeps the first that converges.  The full step that
+    reaches gamma_max is corrected at gamma_max itself.  Returns every
     sample as float.hex, the termination and the bracket."""
     thr_b = gamma_threshold_B(p0)
-    step, max_step = thr_b / 100.0, thr_b / 25.0
+    step, max_step = step or thr_b / 100.0, thr_b / 25.0
 
     def sample(gamma, k, l):
         p = p0.replace_gamma(gamma)
@@ -398,21 +399,22 @@ def scalar_ladder(p0, gamma_max, tol=1e-12, cond_limit=1e12):
     samples = [sample(gamma, k, l)]
     termination = "completed"
     while gamma < gamma_max:
-        dgamma = min(step, gamma_max - gamma)
+        full = dgamma = min(step, gamma_max - gamma)
         p = p0.replace_gamma(gamma)
         try:
             vel = np.linalg.solve(jacobian(p, k, l),
                                   -gamma_gradient(p, k, l))
         except np.linalg.LinAlgError:
             vel = np.zeros(2)
-        while (dgamma >= 1e-12 * max(1.0, gamma_max)
+        while ((dgamma == full or dgamma >= 1e-12 * max(1.0, gamma_max))
                and gamma + dgamma > gamma):
+            rung = gamma_max if dgamma == gamma_max - gamma else gamma + dgamma
             ok, k_new, l_new = newton_polish(
-                p0.replace_gamma(gamma + dgamma), k + vel[0] * dgamma,
+                p0.replace_gamma(rung), k + vel[0] * dgamma,
                 l + vel[1] * dgamma, tol,
                 max_iter=algebraic._CORRECTOR_STEPS)
             if ok:
-                gamma, k, l = gamma + dgamma, k_new, l_new
+                gamma, k, l = rung, k_new, l_new
                 samples.append(sample(gamma, k, l))
                 break
             dgamma *= 0.5
@@ -475,6 +477,32 @@ def test_branch_rejects_step_or_gamma_max_outside_its_domain(kwargs):
         continuation_branch(P_SYM, **kwargs)
     assert err.value.constraint == ("step" if "step" in kwargs
                                     else "gamma_max")
+
+
+P_ENDS = make_params(3, 0.5, 1.5, 1.0, 1.5, 0.0)
+
+
+@pytest.mark.parametrize("gamma_max, step", [
+    (1e-300, None),  # the whole step is below the halving floor
+    (0.5, 1e-14),  # and so are the first 26 steps
+    # gamma + (gamma_max - gamma) rounds to one ulp below gamma_max
+    (0.0038558730985959896, 0.00175813128298422),
+], ids=["tiny-gamma-max", "tiny-step", "rounded-last-step"])
+def test_branch_ends_on_gamma_max(gamma_max, step):
+    path = continuation_branch(P_ENDS, gamma_max, step=step)
+    assert (batched_ladder(P_ENDS, gamma_max, step=step)
+            == scalar_ladder(P_ENDS, gamma_max, step=step))
+    assert path.termination == "completed"
+    assert len(path.samples) > 1
+    assert path.samples[-1].gamma == gamma_max
+
+
+def test_branch_takes_full_steps_below_the_floor_of_a_far_gamma_max():
+    # the floor 1e-12 gamma_max = 0.1 is above every step, which is still
+    # tried whole; the branch runs on towards the fold near gamma = 0.667
+    path = continuation_branch(P_ENDS, 1e11)
+    assert path.termination != "completed"
+    assert path.samples[-1].gamma > 0.6
 
 
 def test_branch_rejects_wrong_regime():

@@ -390,6 +390,17 @@ def test_box_beyond_the_float_range_is_domain_error(capsys, command):
     assert (payload["error"], payload["constraint"]) == ("domain", "L")
 
 
+@pytest.mark.parametrize("L", ["0", "-5", "nan", "inf", "1e300"])
+def test_sobolev_checks_its_box_before_deriving_eps(capsys, L):
+    # the default eps is L/30; the error names L, as verify's does
+    code, out, err = run_main(capsys, "sobolev", "--n", "3", "--s", "0.5",
+                              "--L", L)
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert (payload["error"], payload["constraint"]) == (
+        "domain", "finite" if L == "inf" else "L")
+
+
 def test_perturb_underflowed_critical_integral_is_resolution_error(capsys):
     # at eps = 1e-100 every grid sample of w1^(2*) underflows to 0
     code, out, err = run_main(capsys, "perturb", "--n", "1", "--s", "0.3",
@@ -566,6 +577,27 @@ def test_spectral_commands_match_golden_output(capsys, case):
     code, out, err = run_main(capsys, *SPECTRAL_GOLDEN_CASES[case])
     assert code == 0 and err == ""
     golden = json.loads((DATA / "golden_spectral_stdout.json").read_text())
+    assert out == golden[case]
+
+
+_ALG = ["--n", "3", "--s", "0.5", "--alpha", "1.4", "--mu1", "0.8",
+        "--mu2", "1.6"]
+#: the algebraic payloads at 17 digits, which pin their key order too
+ALGEBRAIC_GOLDEN_CASES = {
+    "classify-caseA": ["classify", "--n", "1", "--s", "0.3", "--alpha", "2.5",
+                       "--mu1", "1", "--mu2", "1.5", "--gamma", "1"],
+    "solve-domination": ["solve", *_ALG, "--gamma", "2",
+                         "--check-domination", "100"],
+    "energy-negative": ["energy", *_ALG, "--gamma=-0.5", "--Ss", "2.7"],
+    "energy-attained-B": ["energy", *_ALG, "--gamma", "2"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(ALGEBRAIC_GOLDEN_CASES))
+def test_algebraic_commands_match_golden_output(capsys, case):
+    code, out, err = run_main(capsys, *ALGEBRAIC_GOLDEN_CASES[case])
+    assert code == 0 and err == ""
+    golden = json.loads((DATA / "golden_algebraic_stdout.json").read_text())
     assert out == golden[case]
 
 
