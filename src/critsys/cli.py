@@ -3,8 +3,9 @@
 Single results are emitted as JSON (floats at 17 significant digits, full
 resolved parameters embedded for provenance), tables as CSV with a stable
 column order.  Exit codes: 0 success, 1 domain errors, 2 numerical
-failures, 64 usage errors.  A stdout pipe that its reader closes early ends
-the command quietly with exit 0.  Sweep rows are ordered by grid index.
+failures, 64 usage errors; a grid too large to allocate is a domain error
+on N.  A stdout pipe that its reader closes early ends the command quietly
+with exit 0.  Sweep rows are ordered by grid index.
 """
 
 from __future__ import annotations
@@ -407,7 +408,13 @@ def main(argv=None) -> int:
             if not 0.0 <= tol < math.inf:
                 raise DomainError("tol must be finite and nonnegative",
                                   constraint="tol", value=tol)
-            result = args.handler(args)
+            try:
+                result = args.handler(args)
+            except MemoryError:  # numpy could not allocate a grid array
+                if not hasattr(args, "N"):
+                    raise
+                raise DomainError("the grid is too large to allocate",
+                                  constraint="N", value=args.N) from None
             _emit(dumps17(result) if isinstance(result, dict)
                   else _csv(*result), args.out)
         sys.stdout.flush()

@@ -13,18 +13,23 @@ to the half spectrum of a real field.  It is built once per (n, N, L, s) and
 kept in a small cache; so is the core-window mask per (n, N, L, fraction).
 Both cached arrays are read-only because every caller shares them.
 
+A field is a box plus one index map per axis (`GridField`); a bubble's box
+keeps one point per distinct squared offset on each axis.  The forward
+transform expands each axis just before its own `rfftn` stage.  pocketfft
+transforms each 1-D line on its own, so the spectrum is bit for bit
+`rfftn`'s.
+
 Residuals are reported on the core window |x| <= L/8 where periodic images
 pollute least, and only that window's bounding box is computed: the inverse
 transform keeps each axis's slice of the box after that axis's stage, and the
-right-hand-side powers are formed on the box alone.  Every transform stage
-after the first runs in place in one half-spectrum array.
+right-hand-side powers are formed on the box alone.
 """
 
 from __future__ import annotations
 
 import functools
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -45,21 +50,37 @@ class GridField:
     """Sampled real field on a uniform periodic box.
 
     n: dimension (1..3); N: points per axis (power of two); L: half-width;
-    values: real array of shape (N,)*n, row-major.
+    box: real array; maps: one index map per axis, None for an axis kept
+    whole (the default for every axis, when box holds the N^n values).
+    The grid's values, of shape (N,)*n, are box expanded by `_expand`.
     """
 
     n: int
     N: int
     L: float
-    values: np.ndarray
+    box: np.ndarray
+    maps: tuple | None = None
 
     def __post_init__(self):
         _check_grid(self.n, self.N, self.L)
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.size != self.N ** self.n:
-            raise DomainError("value count does not match N^n",
-                              constraint="values", value=self.values.size)
-        self.values = _finite(self.values.reshape((self.N,) * self.n))
+        self.box = np.asarray(self.box, dtype=float)
+        if self.maps is None:
+            self.maps = (None,) * self.n
+            if self.box.size != self.N ** self.n:
+                raise DomainError("value count does not match N^n",
+                                  constraint="values", value=self.box.size)
+            self.box = self.box.reshape((self.N,) * self.n)
+        self.box = _finite(self.box)  # the box holds every grid value
+
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        """The (N,)*n grid values, expanded from the box on first use."""
+        return _expand(self.box, self.maps)
+
+    def values_on(self, slices) -> np.ndarray:
+        """The values on the grid points of ``slices`` (one per axis)."""
+        return _expand(self.box, [np.arange(self.N)[i] if m is None else m[i]
+                                  for m, i in zip(self.maps, slices)])
 
     @property
     def h(self) -> float:
@@ -78,8 +99,8 @@ class GridField:
 
 
 def integrate(field: GridField) -> float:
-    """Torus quadrature h^n * sum(values)."""
-    return field.h ** field.n * float(np.sum(field.values))
+    """Torus quadrature h^n * sum(values), summed from the box."""
+    return field.h ** field.n * float(_expanded_sum(field.box, field.maps))
 
 
 def _finite(values: np.ndarray) -> np.ndarray:
@@ -123,29 +144,34 @@ def _radius_sq(n: int, N: int, L: float, center) -> np.ndarray:
     return _expand(*_distinct_radius_sq(n, N, L, center))
 
 
-def _distinct_radius_sq(n: int, N: int, L: float, center):
+def _distinct_radius_sq(n: int, N: int, L: float, center,
+                        whole_first: bool = True):
     """|x - center|^2 on the distinct-offset box of the (N,)*n grid, checked
     first, and the index maps that `_expand` takes it to the grid with.
 
-    The first axis keeps its N points; every other axis keeps one point per
-    distinct float (x_i - center_d)^2 (N/2 + 1 on a mirror-symmetric axis).
-    Each box value is bit for bit the grid values it stands for, so an
-    elementwise step on the box, then `_expand`, gives the grid's values."""
+    Every axis keeps one point per distinct float (x_i - center_d)^2 (N/2 + 1
+    on a mirror-symmetric axis), but the first keeps its N points when
+    ``whole_first`` (its map is then None).  Each box value is bit for bit
+    the grid values it stands for, so an elementwise step on the box, then
+    `_expand`, gives the grid's values."""
     _check_grid(n, N, L)
     x = _axis(N, L)
-    terms, maps = [(x - center[0]) ** 2], []
-    for d in range(1, n):
-        values, index = np.unique((x - center[d]) ** 2, return_inverse=True)
+    terms, maps = [], []
+    for d in range(n):
+        sq = (x - center[d]) ** 2
+        values, index = (sq, None) if d == 0 and whole_first \
+            else np.unique(sq, return_inverse=True)
         terms.append(values)
         maps.append(index)
     return _axis_sum(terms), maps
 
 
 def _expand(box: np.ndarray, maps) -> np.ndarray:
-    """A distinct-offset box of `_distinct_radius_sq` on the full grid, one
-    `np.take` per reduced axis, the last axis first."""
-    for d in range(len(maps), 0, -1):
-        box = np.take(box, maps[d - 1], axis=d)
+    """A box on the full grid, one `np.take` per axis whose map is not
+    None, the last axis first."""
+    for d in range(len(maps) - 1, -1, -1):
+        if maps[d] is not None:
+            box = np.take(box, maps[d], axis=d)
     return box
 
 
@@ -163,13 +189,10 @@ def _expanded_sum(box: np.ndarray, maps):
     lead = n - 1  # axes lead, ..., n - 1 are those a block spans
     while N ** (n - lead) < _PAIRWISE_BLOCK:
         lead -= 1
-    for d in range(n - 1, max(lead, 1) - 1, -1):
-        box = np.take(box, maps[d - 1], axis=d)
+    box = _expand(box, (None,) * lead + tuple(maps[lead:]))
     sums = np.sum(box.reshape(box.shape[:lead] + (-1, _PAIRWISE_BLOCK)),
                   axis=-1)
-    for d in range(lead - 1, 0, -1):
-        sums = np.take(sums, maps[d - 1], axis=d)
-    sums = sums.ravel()
+    sums = _expand(sums, maps[:lead]).ravel()
     while sums.size > 1:
         sums = sums[0::2] + sums[1::2]
     return sums[0]
@@ -190,10 +213,19 @@ def _half_multiplier(n: int, N: int, L: float, s: float) -> np.ndarray:
 
 
 def _rfftn(field: GridField) -> np.ndarray:
-    """Half spectrum of the field, every stage after the first in place."""
-    hat = np.empty((field.N,) * (field.n - 1) + (field.N // 2 + 1,),
-                   dtype=complex)
-    return np.fft.rfftn(field.values, axes=tuple(range(field.n)), out=hat)
+    """Half spectrum of the field, bit for bit ``np.fft.rfftn(values)``.
+
+    The stages are `rfftn`'s, in its order: `rfft` on the last axis, then an
+    in-place `fft` on axis n - 2 down to axis 0.  Each axis with a map is
+    expanded just before its own stage, so the earlier stages transform
+    only the box's lines."""
+    hat, last = field.box, field.n - 1
+    for d in range(last, -1, -1):
+        if field.maps[d] is not None:
+            hat = np.take(hat, field.maps[d], axis=d)
+        hat = np.fft.rfft(hat, axis=d) if d == last \
+            else np.fft.fft(hat, axis=d, out=hat)
+    return hat
 
 
 def _frac_laplacian_on(field: GridField, s: float, box) -> np.ndarray:
@@ -256,11 +288,17 @@ def _core_window(n: int, N: int, L: float, fraction: float) -> np.ndarray:
 @functools.lru_cache(maxsize=8)
 def _core_box(n: int, N: int, L: float):
     """The bounding box of the residuals' core window, one slice per axis,
-    and the window cropped to it (a read-only view).  Taken from the mask
-    itself, so the box holds every point the r^2 test keeps."""
-    mask = _core_window(n, N, L, _CORE_FRACTION)
-    box = tuple(slice(i.min(), i.max() + 1) for i in np.nonzero(mask))
-    return box, mask[box]
+    and the window cropped to it (read-only), without the full grid.
+
+    The origin is a grid point, so the box keeps on each axis the points
+    with x^2 inside the window; on it, r^2 is summed as `_radius_sq` sums
+    it, so the cropped window is bit for bit the mask's."""
+    x2 = _axis(N, L) ** 2
+    inside = np.nonzero(x2 <= (_CORE_FRACTION * L) ** 2)[0]
+    box = (slice(inside[0], inside[-1] + 1),) * n
+    win = _axis_sum([x2[box[0]]] * n) <= (_CORE_FRACTION * L) ** 2
+    win.flags.writeable = False
+    return box, win
 
 
 @dataclass(frozen=True)
@@ -290,7 +328,7 @@ def pde_residual_single(params: SystemParams, U: GridField) -> ResidualReport:
     Raises `ResolutionError` when the grid is unusable (rel L2 > 0.5).
     """
     box, win = _core_box(U.n, U.N, U.L)
-    rhs = U.values[box] ** (params.two_star - 1.0)
+    rhs = U.values_on(box) ** (params.two_star - 1.0)
     return _core_report(_finite(_frac_laplacian_on(U, params.s, box)), rhs,
                         win)
 
@@ -308,18 +346,16 @@ def pde_residual_system(params: SystemParams, k: float, l: float,
                           value=(k, l))
     a, b, ts = params.alpha, params.beta, params.two_star
     box, win = _core_box(U.n, U.N, U.L)
-    ub, vb = np.sqrt(k) * U.values[box], np.sqrt(l) * U.values[box]
-
-    # u and v are formed on the full grid one at a time, each just before
-    # its transform, so that the two never take memory together
+    core = U.values_on(box)
+    ub, vb = np.sqrt(k) * core, np.sqrt(l) * core
     rhs1 = (params.mu1 * ub ** (ts - 1.0)
             + (a * params.gamma / ts) * ub ** (a - 1.0) * vb ** b)
     report1 = _core_report(_finite(_frac_laplacian_on(
-        U.like(np.sqrt(k) * U.values), params.s, box)), rhs1, win)
+        replace(U, box=np.sqrt(k) * U.box), params.s, box)), rhs1, win)
     rhs2 = (params.mu2 * vb ** (ts - 1.0)
             + (b * params.gamma / ts) * ub ** a * vb ** (b - 1.0))
     report2 = _core_report(_finite(_frac_laplacian_on(
-        U.like(np.sqrt(l) * U.values), params.s, box)), rhs2, win)
+        replace(U, box=np.sqrt(l) * U.box), params.s, box)), rhs2, win)
     return report1, report2
 
 
@@ -350,4 +386,4 @@ def load_field(path: str) -> tuple[GridField, float]:
                           constraint="magic", value=magic.decode("ascii",
                                                                  "replace"))
     values = np.frombuffer(body, dtype="<f8")
-    return GridField(n=n, N=N, L=L, values=values.copy()), s
+    return GridField(n, N, L, values.copy()), s

@@ -370,6 +370,40 @@ def test_bubble_scale_with_overflowing_square_is_domain_error(capsys,
     assert (payload["error"], payload["constraint"]) == ("domain", "epsilon")
 
 
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError("cannot allocate the array")
+
+
+@pytest.mark.parametrize("command, target", [
+    (["verify", "--n", "3", "--s", "0.5", "--alpha", "1.5", "--mu1", "1",
+      "--mu2", "1", "--gamma", "1", "--N", "16", "--L", "4"], "rfft"),
+    (["sobolev", "--n", "3", "--s", "0.5", "--N", "16"], "_axis_sum"),
+    (["perturb", "--n", "3", "--s", "0.5", "--alpha", "1.5", "--mu1", "1",
+      "--mu2", "1", "--gamma=-1", "--R", "10", "--N", "16"], "_axis_sum"),
+], ids=["verify-transform", "sobolev-grid", "perturb-grid"])
+def test_grid_too_large_to_allocate_is_domain_error_on_N(capsys,
+                                                         monkeypatch,
+                                                         command, target):
+    # an allocation fails as numpy's would for a grid beyond memory, while
+    # the grid is transformed or built; no large array is asked for
+    from critsys import spectral
+
+    monkeypatch.setattr(np.fft if target == "rfft" else spectral, target,
+                        _out_of_memory)
+    code, out, err = run_main(capsys, *command)
+    assert code == 1 and out == ""
+    assert json.loads(err) == {
+        "error": "domain", "message": "the grid is too large to allocate",
+        "constraint": "N", "value": 16}
+
+
+def test_out_of_memory_outside_a_grid_command_is_not_an_N_error(monkeypatch):
+    monkeypatch.setattr(cli.regimes, "classify", _out_of_memory)
+    with pytest.raises(MemoryError):
+        main(["classify", "--n", "3", "--s", "0.5", "--alpha", "1.5",
+              "--mu1", "1", "--mu2", "1", "--gamma", "2"])
+
+
 PERTURB_NEG = ["perturb", "--n", "3", "--s", "0.5", "--alpha", "1.5",
                "--mu1", "1", "--mu2", "1.5", "--gamma=-1", "--N", "8"]
 

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from critsys import spectral
-from critsys.bubbles import (BubbleSpec, normalized_bubble_field,
-                             sobolev_constant_closed_form)
+from critsys.bubbles import (BubbleSpec, bubble_field, normalized_bubble_field,
+                             rayleigh_quotient, sobolev_constant_closed_form)
 from critsys.errors import DomainError, ResolutionError
 from critsys.params import make_params
 from critsys.spectral import (GridField, core_window, dump_field,
@@ -167,6 +167,30 @@ def test_laplacian_and_seminorm_are_numpys_out_of_place_calls(n):
             np.sum(power) + np.sum(power[..., 1:-1]))
 
 
+#: one admissible (n, s) per dimension, for sampling bubbles
+BUBBLE_PARAMS = {1: make_params(1, 0.4, 5.0, 1.0, 1.0, 8.0),
+                 2: make_params(2, 0.3, 1.2, 1.0, 1.0, 0.0), 3: P3}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_box_transform_is_numpys_rfftn_bit_for_bit(n):
+    # each axis is expanded just before its own stage, so the early stages
+    # transform the box's lines; the spectrum must not move by one bit.
+    # The off-centre bubble's first-axis map is not a mirror
+    rng = np.random.default_rng(60 + n)
+    for N in (8, 64, 128):
+        L = rng.uniform(2.0, 30.0)
+        fields = [GridField(n, N, L, rng.standard_normal(N ** n))]
+        for center in ((0.0,) * n, (0.37, -1.1, 0.25)[:n]):
+            spec = BubbleSpec(rng.uniform(0.5, 2.0), center)
+            fields.append(bubble_field(spec, BUBBLE_PARAMS[n], N, L))
+            assert all(m is not None for m in fields[-1].maps)
+        for g in fields:
+            want = np.fft.rfftn(g.values)
+            assert np.array_equal(spectral._rfftn(g).view(np.uint64),
+                                  want.view(np.uint64))
+
+
 def test_cached_multiplier_and_window_are_read_only_and_keyed():
     mult = spectral._half_multiplier(2, 8, 3.0, 0.5)
     assert mult.shape == (8, 5)  # bins 0..N/2 on the last axis
@@ -267,6 +291,31 @@ def test_residuals_equal_their_full_grid_forms(params):
     assert pde_residual_system(params, sol.k, sol.l, U) == (
         spectral._core_report(frac_laplacian(u, params.s).values, rhs1, win),
         spectral._core_report(frac_laplacian(v, params.s).values, rhs2, win))
+
+
+@pytest.mark.parametrize("params", RESIDUAL_CASES,
+                         ids=["n1", "n2", "n3", "n1-caseA"])
+def test_a_box_field_and_its_grid_give_the_same_bits(params):
+    # one path for both representations: a bubble held as its box and the
+    # same values handed over as a grid report identical numbers.  N^n is
+    # 256, 4096 and 32768, so the sums take each of their block layouts
+    from critsys.algebraic import find_k0_l0
+
+    n = params.n
+    N, L = {1: 256, 2: 64, 3: 32}[n], 10.0
+    sol = find_k0_l0(params)
+    S = sobolev_constant_closed_form(params).value
+    for center in ((0.0,) * n, (0.37, -1.1, 0.25)[:n]):
+        U = normalized_bubble_field(params, BubbleSpec(1.0, center), S, N, L)
+        grid = GridField(n, N, L, U.values)
+        assert grid.maps == (None,) * n
+        for f in (integrate, lambda g: seminorm(g, params.s),
+                  lambda g: rayleigh_quotient(params, g)):
+            assert f(U).hex() == f(grid).hex()
+        assert pde_residual_single(params, U) \
+            == pde_residual_single(params, grid)
+        assert pde_residual_system(params, sol.k, sol.l, U) \
+            == pde_residual_system(params, sol.k, sol.l, grid)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
