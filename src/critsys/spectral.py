@@ -10,7 +10,7 @@ its inverse `irfftn`: the spectrum is stored only for the non-negative
 frequencies of the last axis, bins 0 to N/2 (Nyquist), since the rest are
 complex conjugates.  The multiplier is even, so it maps that half spectrum
 to the half spectrum of a real field.  It is built once per (n, N, L, s) and
-kept in a small cache; so is the core-window mask per (n, N, L, fraction).
+kept in a small cache; so is the core box and its window per (n, N, L).
 Both cached arrays are read-only because every caller shares them.
 
 A field is a box plus one index map per axis (`GridField`); a bubble's box
@@ -86,14 +86,6 @@ class GridField:
     def h(self) -> float:
         return 2.0 * self.L / self.N
 
-    def axis(self) -> np.ndarray:
-        return _axis(self.N, self.L)
-
-    def radius_sq(self, center=None) -> np.ndarray:
-        """|x - center|^2 on the grid; the center defaults to the origin."""
-        return _radius_sq(self.n, self.N, self.L,
-                          (0.0,) * self.n if center is None else center)
-
     def like(self, values: np.ndarray) -> "GridField":
         return GridField(self.n, self.N, self.L, values)
 
@@ -137,11 +129,6 @@ def _axis_sum(terms) -> np.ndarray:
     1-D term laid along its own axis and added in axis order, so only the
     last addition is full size."""
     return functools.reduce(np.add, np.ix_(*terms))
-
-
-def _radius_sq(n: int, N: int, L: float, center) -> np.ndarray:
-    """|x - center|^2 on the (N,)*n grid of [-L, L)^n."""
-    return _expand(*_distinct_radius_sq(n, N, L, center))
 
 
 def _distinct_radius_sq(n: int, N: int, L: float, center,
@@ -269,30 +256,15 @@ def seminorm(field: GridField, s: float) -> float:
     return scale * float(np.sum(power) + np.sum(power[..., 1:-1]))
 
 
-def core_window(field: GridField,
-                fraction: float = _CORE_FRACTION) -> np.ndarray:
-    """Boolean mask of the ball |x| <= fraction * L.
-
-    Cached per (n, N, L, fraction) and shared between callers, so
-    read-only."""
-    return _core_window(field.n, field.N, field.L, fraction)
-
-
-@functools.lru_cache(maxsize=8)
-def _core_window(n: int, N: int, L: float, fraction: float) -> np.ndarray:
-    mask = _radius_sq(n, N, L, (0.0,) * n) <= (fraction * L) ** 2
-    mask.flags.writeable = False
-    return mask
-
-
 @functools.lru_cache(maxsize=8)
 def _core_box(n: int, N: int, L: float):
     """The bounding box of the residuals' core window, one slice per axis,
     and the window cropped to it (read-only), without the full grid.
 
     The origin is a grid point, so the box keeps on each axis the points
-    with x^2 inside the window; on it, r^2 is summed as `_radius_sq` sums
-    it, so the cropped window is bit for bit the mask's."""
+    with x^2 inside the window; on it, r^2 adds the x_d^2 in axis order, as
+    |x|^2 on the full grid would, so the cropped window is bit for bit the
+    full-grid mask's."""
     x2 = _axis(N, L) ** 2
     inside = np.nonzero(x2 <= (_CORE_FRACTION * L) ** 2)[0]
     box = (slice(inside[0], inside[-1] + 1),) * n
@@ -385,5 +357,6 @@ def load_field(path: str) -> tuple[GridField, float]:
         raise DomainError("not a field dump (bad magic)",
                           constraint="magic", value=magic.decode("ascii",
                                                                  "replace"))
+    _check_order(s)
     values = np.frombuffer(body, dtype="<f8")
     return GridField(n, N, L, values.copy()), s

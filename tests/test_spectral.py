@@ -6,10 +6,9 @@ from critsys.bubbles import (BubbleSpec, bubble_field, normalized_bubble_field,
                              rayleigh_quotient, sobolev_constant_closed_form)
 from critsys.errors import DomainError, ResolutionError
 from critsys.params import make_params
-from critsys.spectral import (GridField, core_window, dump_field,
-                              frac_laplacian, integrate, load_field,
-                              pde_residual_single, pde_residual_system,
-                              seminorm)
+from critsys.spectral import (GridField, dump_field, frac_laplacian,
+                              integrate, load_field, pde_residual_single,
+                              pde_residual_system, seminorm)
 
 P3 = make_params(3, 0.5, 1.5, 1.0, 1.0, 1.0)
 S3 = sobolev_constant_closed_form(P3).value
@@ -18,6 +17,14 @@ S3 = sobolev_constant_closed_form(P3).value
 def small_bubble_grid(params=P3, N=64, L=20.0, eps=1.0):
     spec = BubbleSpec(epsilon=eps, center=(0.0,) * params.n)
     return normalized_bubble_field(params, spec, S3, N, L)
+
+
+def window_mask(n, N, L):
+    """The residuals' core window |x|^2 <= (L/8)^2 on the full (N,)*n grid,
+    the x_d^2 added in axis order."""
+    x = -L + 2.0 * L / N * np.arange(N)
+    grids = np.meshgrid(*[x] * n, indexing="ij")
+    return sum(g ** 2 for g in grids) <= (L / 8) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -47,8 +54,7 @@ def test_gridfield_refuses_an_infinite_box():
 
 
 def test_axis_contains_origin():
-    g = GridField(1, 8, 2.0, np.zeros(8))
-    assert 0.0 in g.axis()
+    assert 0.0 in spectral._axis(8, 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +206,7 @@ def test_cached_multiplier_and_window_are_read_only_and_keyed():
         assert not np.array_equal(other, mult)
     with pytest.raises(ValueError):
         mult[1, 1] = 0.0
-    win = core_window(GridField(2, 8, 3.0, np.zeros(64)))
+    _, win = spectral._core_box(2, 8, 3.0)
     with pytest.raises(ValueError):
         win[0, 0] = True
 
@@ -277,7 +283,7 @@ def test_residuals_equal_their_full_grid_forms(params):
     S = sobolev_constant_closed_form(params).value
     U = normalized_bubble_field(params, BubbleSpec(1.0, (0.0,) * n), S, 32,
                                 10.0)
-    win = core_window(U)
+    win = window_mask(n, 32, 10.0)
     assert pde_residual_single(params, U) == spectral._core_report(
         frac_laplacian(U, params.s).values, U.values ** (ts - 1.0), win)
 
@@ -357,27 +363,24 @@ def test_residual_stable_under_eps_rescaling():
 
 
 def test_core_window_radius():
-    g = GridField(1, 64, 8.0, np.zeros(64))
-    win = core_window(g)
-    xs = g.axis()
-    assert np.array_equal(win, np.abs(xs) <= 1.0)
-
-
-def test_cached_core_window_equals_radius_test():
-    for n, N, L, fraction in [(1, 64, 8.0, 0.125), (2, 32, 5.0, 0.3),
-                              (3, 16, 4.0, 0.125), (3, 16, 4.0, 0.5),
-                              (3, 32, 6.0, 0.125)]:
-        g = GridField(n, N, L, np.zeros(N ** n))
-        for _ in range(2):  # built, then from the cache
-            assert np.array_equal(core_window(g, fraction),
-                                  g.radius_sq() <= (fraction * L) ** 2)
+    box, win = spectral._core_box(1, 64, 8.0)
+    mask = np.zeros(64, dtype=bool)
+    mask[box] = win
+    assert np.array_equal(mask, np.abs(spectral._axis(64, 8.0)) <= 1.0)
 
 
 def test_core_box_is_the_bounding_box_of_the_window():
-    for n, N, L in [(1, 64, 8.0), (2, 32, 5.0), (3, 16, 4.0), (3, 128, 30.0),
-                    (2, 16, 1e-300)]:
-        mask = core_window(GridField(n, N, L, np.zeros(N ** n)))
+    # fixed grids, then seeded awkward ones: n 1-3, N 2-128, L log-uniform
+    # on [1e-3, 1e3]
+    rng = np.random.default_rng(16)
+    grids = [(1, 64, 8.0), (2, 32, 5.0), (3, 16, 4.0), (3, 32, 6.0),
+             (3, 128, 30.0), (2, 16, 1e-300)] + [
+        (int(rng.integers(1, 4)), 2 ** int(rng.integers(1, 8)),
+         float(10.0 ** rng.uniform(-3.0, 3.0))) for _ in range(20)]
+    for n, N, L in grids:
+        mask = window_mask(n, N, L)
         box, win = spectral._core_box(n, N, L)
+        assert spectral._core_box(n, N, L)[1] is win  # from the cache
         assert np.array_equal(win, mask[box])
         assert win.sum() == mask.sum()  # no window point outside the box
         for d in range(n):  # and no slab of the box without one
@@ -437,3 +440,12 @@ def test_load_rejects_bad_magic(tmp_path):
     path.write_bytes(b"NOTMAGIC" + b"\0" * 24)
     with pytest.raises(DomainError):
         load_field(str(path))
+
+
+@pytest.mark.parametrize("s", [np.nan, 0.0, 7.0])
+def test_load_rejects_an_order_outside_0_1(tmp_path, s):
+    path = tmp_path / "field.bin"
+    dump_field(GridField(1, 8, 2.0, np.zeros(8)), s, str(path))
+    with pytest.raises(DomainError) as info:
+        load_field(str(path))
+    assert info.value.constraint == "s"
