@@ -369,6 +369,16 @@ def test_core_window_radius():
     assert np.array_equal(mask, np.abs(spectral._axis(64, 8.0)) <= 1.0)
 
 
+def test_cached_core_window_equals_radius_test():
+    for n, N, L in [(1, 64, 8.0), (2, 32, 5.0), (3, 16, 4.0), (3, 32, 6.0)]:
+        for _ in range(2):  # built, then from the cache
+            box, win = spectral._core_box(n, N, L)
+            full = np.zeros((N,) * n, dtype=bool)
+            full[box] = win
+            assert np.array_equal(full, window_mask(n, N, L))
+        assert spectral._core_box(n, N, L)[1] is win
+
+
 def test_core_box_is_the_bounding_box_of_the_window():
     # fixed grids, then seeded awkward ones: n 1-3, N 2-128, L log-uniform
     # on [1e-3, 1e3]
@@ -380,7 +390,6 @@ def test_core_box_is_the_bounding_box_of_the_window():
     for n, N, L in grids:
         mask = window_mask(n, N, L)
         box, win = spectral._core_box(n, N, L)
-        assert spectral._core_box(n, N, L)[1] is win  # from the cache
         assert np.array_equal(win, mask[box])
         assert win.sum() == mask.sum()  # no window point outside the box
         for d in range(n):  # and no slab of the box without one
