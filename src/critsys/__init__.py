@@ -12,8 +12,7 @@ from .bubbles import (BubbleSpec, SobolevConstant, bubble_eval,
                       normalized_bubble_field, sobolev_constant_closed_form,
                       sobolev_constant_spectral)
 from .errors import CritsysError, DomainError, NumericalError
-from .params import (DerivedExponents, SystemParams, derived_exponents,
-                     make_params, params_from_dict, params_from_json)
+from .params import SystemParams, make_params, params_from_dict
 from .regimes import (EnergyReport, Regime, classify, energy_ordering_check,
                       gamma_threshold_A, gamma_threshold_B, least_energy)
 from .spectral import (GridField, ResidualReport, frac_laplacian,

@@ -55,6 +55,8 @@ _CORRECTOR_STEPS = 25
 SLOPE_GRID_POINTS = 10_000
 #: roundoff allowance of check_domination in c + d >= k0 + l0
 DOMINATION_SLACK = 1e-9
+#: most samples of check_domination, so that a sample array is at most 80 MB
+DOMINATION_CAP = 10 ** 7
 
 
 def _scalar(out):
@@ -131,7 +133,8 @@ def l_sup(params: SystemParams) -> float:
 def _decoupled_pair(params):
     """(k_sup, l_sup), the root at gamma = 0; a `NumericalError` when
     either under- or overflows, where F1 or F2 would be nan."""
-    k0, l0 = k_sup(params), l_sup(params)
+    with np.errstate(over="ignore"):
+        k0, l0 = k_sup(params), l_sup(params)
     if not (0.0 < k0 < math.inf and 0.0 < l0 < math.inf):
         raise NumericalError("decoupled pair leaves the float range",
                              constraint="0 < k_sup, l_sup < inf",
@@ -411,7 +414,8 @@ def newton_polish(params: SystemParams, k: float, l: float, tol: float,
 def _prescan(params):
     """What is known of a point before its scan: the decoupled pair at
     gamma = 0 (a `NumericalError` when it under- or overflows), the
-    `DomainError` for a point outside the solver's hypotheses, or, for a
+    `DomainError` for a point outside the solver's hypotheses, a
+    `NumericalError` where alpha gamma or beta gamma overflows, or, for a
     point whose root the scan finds, whether it lies in case A, not B."""
     if params.gamma == 0.0:
         try:
@@ -425,6 +429,9 @@ def _prescan(params):
         return DomainError("no root finding for gamma < 0 (minimum not "
                            "attained)", constraint="gamma >= 0",
                            value=params.gamma)
+    if not max(params.alpha, params.beta) * params.gamma < math.inf:
+        return NumericalError("alpha gamma or beta gamma overflows a float",
+                              constraint="gamma", value=params.gamma)
     case = regimes.case_of(params)
     if case is None:
         return DomainError(
@@ -743,11 +750,10 @@ def _slope_structure(params, name):
     return sign, infl, closed, measured
 
 
-def finite_difference_lprime(params: SystemParams,
-                             grid_points: int = SLOPE_GRID_POINTS):
+def finite_difference_lprime(params: SystemParams):
     """Central finite differences of l(k) on a uniform interior grid."""
     ksup = k_sup(params)
-    ks = np.linspace(ksup * 1e-6, ksup * (1.0 - 1e-6), grid_points)
+    ks = np.linspace(ksup * 1e-6, ksup * (1.0 - 1e-6), SLOPE_GRID_POINTS)
     lv = curve_l_of_k(params, ks)
     return ks, np.gradient(lv, ks)
 
@@ -771,16 +777,20 @@ def check_domination(params: SystemParams, solution: CouplingSolution,
     Draws log-uniform (c, d); every pair with F1 >= 0 and F2 >= 0 must
     satisfy c + d >= k0 + l0 - DOMINATION_SLACK.  A violating pair raises
     `CounterexampleError` with the pair attached; this signals either a
-    solver bug or parameters outside the theorem hypotheses.  A negative
-    ``samples`` is a `DomainError`.
+    solver bug or parameters outside the theorem hypotheses.  ``samples``
+    outside [0, DOMINATION_CAP] or a negative ``seed`` is a `DomainError`.
     """
-    if samples < 0:
-        raise DomainError("samples must be nonnegative", constraint="samples",
-                          value=samples)
+    if not 0 <= samples <= DOMINATION_CAP:
+        raise DomainError(f"samples must lie in [0, {DOMINATION_CAP}]",
+                          constraint="samples", value=samples)
+    if seed < 0:
+        raise DomainError("seed must be nonnegative", constraint="seed",
+                          value=seed)
     rng = np.random.default_rng(seed)
     k0, l0 = solution.k, solution.l
-    lo_c, hi_c = k0 / 10.0, 10.0 * max(k0, k_sup(params))
-    lo_d, hi_d = l0 / 10.0, 10.0 * max(l0, l_sup(params))
+    ks, ls = _decoupled_pair(params)  # the box's corner, in the float range
+    lo_c, hi_c = k0 / 10.0, 10.0 * max(k0, ks)
+    lo_d, hi_d = l0 / 10.0, 10.0 * max(l0, ls)
     c = np.exp(rng.uniform(math.log(lo_c), math.log(hi_c), samples))
     d = np.exp(rng.uniform(math.log(lo_d), math.log(hi_d), samples))
     f1, f2 = _residuals(params, c, d)

@@ -319,7 +319,7 @@ def continuation_branch(params_base: SystemParams, gamma_max: float,
 
     k, l = algebraic._decoupled_pair(p0)
     gamma = 0.0
-    sample, J, grad = _accept(p0.replace_gamma(0.0), gamma, k, l, tol)
+    sample, J, grad = _accept(p0.replace_gamma(0.0), k, l, tol)
     samples = [sample]
     termination = "completed"
 
@@ -351,7 +351,7 @@ def continuation_branch(params_base: SystemParams, gamma_max: float,
             break
         i = ok.argmax()
         gamma, k, l = float(gammas[i]), float(ks[i]), float(ls[i])
-        sample, J, grad = _accept(p0.replace_gamma(gamma), gamma, k, l, tol)
+        sample, J, grad = _accept(p0.replace_gamma(gamma), k, l, tol)
         samples.append(sample)
         if samples[-1].jac_cond > cond_limit:
             termination = "fold"
@@ -370,9 +370,9 @@ def continuation_branch(params_base: SystemParams, gamma_max: float,
                             termination=termination)
 
 
-def _accept(params, gamma, k, l, tol):
-    """The sample at (gamma, k, l), and the Jacobian and gamma gradient of
-    the system there."""
+def _accept(params, k, l, tol):
+    """The sample at (params.gamma, k, l), and the Jacobian and gamma
+    gradient of the system there."""
     f1, f2, J, grad = algebraic._system(params, k, l)
     res = float(max(abs(f1), abs(f2)))
     if res > max(tol, 1e-10):
@@ -380,5 +380,5 @@ def _accept(params, gamma, k, l, tol):
                               constraint="residual", value=res)
     cond = float(np.linalg.cond(J))
     ok = regimes.energy_ordering_check(params, k, l)
-    return BranchSample(gamma=float(gamma), k=float(k), l=float(l),
+    return BranchSample(gamma=params.gamma, k=float(k), l=float(l),
                         jac_cond=cond, ordering_ok=ok), J, grad

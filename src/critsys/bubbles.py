@@ -184,7 +184,7 @@ def normalized_bubble_field(params: SystemParams, spec: BubbleSpec,
 
 
 def residual_study(params: SystemParams, L: float, N: int, eps: float,
-                   doublings: int = 1):
+                   doublings: int):
     """Single-equation residual ladder under box doubling at fixed spacing.
 
     Returns a list of (L, N, report); each report's truncation flag is set

@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from . import algebraic, asymptotics, bubbles, regimes, spectral
-from .errors import CritsysError, DomainError
+from .errors import CritsysError, DomainError, NumericalError
 from .params import PARAM_KEYS, SystemParams, make_params, params_from_dict
 
 USAGE_EXIT = 64
@@ -415,6 +415,9 @@ def main(argv=None) -> int:
                     raise
                 raise DomainError("the grid is too large to allocate",
                                   constraint="N", value=args.N) from None
+            except OverflowError as exc:  # a Python float left its range
+                raise NumericalError(f"a value overflows a float: {exc}",
+                                     constraint="overflow") from None
             _emit(dumps17(result) if isinstance(result, dict)
                   else _csv(*result), args.out)
         sys.stdout.flush()

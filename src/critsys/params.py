@@ -7,8 +7,7 @@ values are immutable after construction and safe to share between threads.
 
 from __future__ import annotations
 
-import json
-import math
+import sys
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -60,15 +59,6 @@ class SystemParams:
 PARAM_KEYS = tuple(f.name for f in fields(SystemParams) if f.name != "beta")
 
 
-@dataclass(frozen=True)
-class DerivedExponents:
-    """Exponents derived from (n, s) that appear throughout the algebra."""
-
-    two_star: float
-    p_half: float        # (2* - 2)/2, the power carried by k and l
-    decay_power: float   # (n - 2s)/(2s), the power in the split energy value
-
-
 def make_params(n: int, s: float, alpha: float, mu1: float, mu2: float,
                 gamma: float) -> SystemParams:
     """Validate raw inputs and return a `SystemParams`.
@@ -76,13 +66,11 @@ def make_params(n: int, s: float, alpha: float, mu1: float, mu2: float,
     beta is derived as 2* - alpha.  Raises `DomainError` naming the violated
     constraint for any input outside the admissible set.
     """
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise DomainError("n must be a positive integer",
+    if (isinstance(n, bool) or not isinstance(n, (int, np.integer))
+            or not 1 <= n <= sys.float_info.max):
+        raise DomainError("n must be a positive integer in the float range",
                           constraint="n", value=n)
     n = int(n)
-    if n < 1:
-        raise DomainError("n must be a positive integer",
-                          constraint="n", value=n)
     for name, v in (("s", s), ("alpha", alpha), ("mu1", mu1), ("mu2", mu2),
                     ("gamma", gamma)):
         _check_finite_real(name, v)
@@ -115,18 +103,9 @@ def make_params(n: int, s: float, alpha: float, mu1: float, mu2: float,
 
 def _check_finite_real(name, v):
     if not (isinstance(v, (int, float, np.floating, np.integer))
-            and math.isfinite(float(v))):
+            and abs(v) <= sys.float_info.max):
         raise DomainError(f"{name} must be a finite real number",
                           constraint=name, value=v)
-
-
-def derived_exponents(params: SystemParams) -> DerivedExponents:
-    ts = params.two_star
-    return DerivedExponents(
-        two_star=ts,
-        p_half=0.5 * (ts - 2.0),
-        decay_power=(params.n - 2.0 * params.s) / (2.0 * params.s),
-    )
 
 
 def params_from_dict(obj: dict) -> SystemParams:
@@ -147,7 +126,3 @@ def params_from_dict(obj: dict) -> SystemParams:
                 "supplied beta is inconsistent with 2* - alpha",
                 constraint="beta", value=obj["beta"])
     return p
-
-
-def params_from_json(text: str) -> SystemParams:
-    return params_from_dict(json.loads(text))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import DomainError, NumericalError, RegimeMismatchError
-from .params import SystemParams, derived_exponents
+from .params import SystemParams
 
 if TYPE_CHECKING:
     from .algebraic import CouplingSolution
@@ -34,7 +34,7 @@ class Regime:
     label: str
     gamma_threshold_A: float | None
     gamma_threshold_B: float | None
-    notes: tuple[str, ...] = ()
+    notes: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -194,7 +194,7 @@ def energy_ordering_check(params: SystemParams, k: float, l: float) -> bool:
 def _single_mode_levels(params: SystemParams) -> tuple[float, float]:
     """mu1^(-d) and mu2^(-d), d = (n-2s)/(2s); a level beyond the float
     range is a `NumericalError`."""
-    d = derived_exponents(params).decay_power
+    d = (params.n - 2.0 * params.s) / (2.0 * params.s)
     return _float_powers((params.mu1, params.mu2), -d,
                          "single-mode level mu^(-(n-2s)/2s) overflows a float",
                          "mu^(-(n-2s)/2s) finite")

@@ -335,8 +335,9 @@ def dump_field(field: GridField, s: float, path: str) -> None:
     """Write the field as raw little-endian float64 after a 32-byte header.
 
     Header layout: magic "CRITSYS1" (8 bytes), int32 n, int32 N,
-    float64 L, float64 s.
+    float64 L, float64 s, with 0 < s <= 1 checked before the file opens.
     """
+    _check_order(s)
     header = struct.pack("<8sii", _MAGIC, field.n, field.N) \
         + struct.pack("<dd", field.L, s)
     assert len(header) == HEADER_BYTES

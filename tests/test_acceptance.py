@@ -109,7 +109,7 @@ def test_criterion_4_slope_bound():
     p = make_params(3, 0.5, 1.5, 1.0, 1.0, 1.0)  # exactly at the threshold
     diag = curve_diagnostics(p)
     assert abs(diag.lprime_min - (-1.0)) <= 1e-10
-    _, fd = finite_difference_lprime(p, 10_000)
+    _, fd = finite_difference_lprime(p)
     assert np.min(fd) >= -1.0 - 1e-6
 
     # negative control: below the threshold the slope dips under -1.
@@ -119,7 +119,7 @@ def test_criterion_4_slope_bound():
     p_low = p.replace_gamma(0.5)
     assert curve_diagnostics(p_low).lprime_min \
         == pytest.approx(-2.0 ** (4.0 / 3.0), rel=1e-12)
-    _, fd_low = finite_difference_lprime(p_low, 10_000)
+    _, fd_low = finite_difference_lprime(p_low)
     assert np.min(fd_low) < -1.0
     # documenting the scaling that forces this reading:
     p_high = p.replace_gamma(2.0)

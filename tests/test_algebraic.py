@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 
 from critsys import algebraic
-from critsys.algebraic import (BISECT_RTOL, BISECT_XTOL, CouplingSolution,
-                               bisect, check_domination, curve_diagnostics,
+from critsys.algebraic import (BISECT_RTOL, BISECT_XTOL, DOMINATION_CAP,
+                               CouplingSolution, DominationReport, bisect,
+                               check_domination, curve_diagnostics,
                                curve_k_of_l, curve_l_of_k, curve_lprime,
                                eval_F1, eval_F2, eval_f, find_k0_l0,
                                find_k0_l0_batch, finite_difference_lprime,
@@ -19,7 +20,7 @@ from critsys.errors import (CounterexampleError, CritsysError, DomainError,
                             MonotonicityViolationError, NoSignChangeError,
                             NumericalError)
 from critsys.params import make_params
-from critsys.regimes import gamma_threshold_B
+from critsys.regimes import gamma_threshold_A, gamma_threshold_B
 
 from conftest import (case_edge_draws, concave_regime_params, rng_params,
                       symmetric_threshold)
@@ -635,6 +636,27 @@ def test_ratio_rejects_wrong_regime():
         solve_ratio_reduction(P_B)
 
 
+def _ratio_at_half_threshold(mu2):
+    p = make_params(1, 0.4, 5.0, 1.0, mu2, 1.0)
+    return p.replace_gamma(gamma_threshold_A(p) / 2.0)
+
+
+def test_ratio_widens_its_bracket_upward():
+    # mu2 = 1e20 puts the root near k/l = 1e5, above the first 1e4 bound
+    sol = solve_ratio_reduction(_ratio_at_half_threshold(1e20))
+    assert sol.k / sol.l == pytest.approx(1e5, rel=1e-6)
+    assert max(sol.res1, sol.res2) <= 1e-12
+
+
+@pytest.mark.parametrize("mu2, bracket", [(1e60, (1e-4, 1e12)),
+                                          (1e-60, (1e-13, 1e4))],
+                         ids=["upward", "downward"])
+def test_ratio_widened_bracket_without_a_sign_change(mu2, bracket):
+    with pytest.raises(NoSignChangeError) as err:
+        solve_ratio_reduction(_ratio_at_half_threshold(mu2))
+    assert err.value.value == pytest.approx(bracket, rel=1e-12)
+
+
 def test_ratio_monotone_samples_under_coupling_bound():
     # sampled monotonicity on log grids, as used inside the solver
     for gamma in (2.0, 5.0, 8.0):
@@ -697,13 +719,20 @@ def test_diagnostics_gamma_scaling_law():
             base * gamma ** (-2.0 / P_B.beta), rel=1e-12)
 
 
+def test_diagnostics_rejects_exponents_outside_1_2():
+    # 2* = 3.33 < 4, but beta = 2.13 lies above 2
+    with pytest.raises(DomainError) as err:
+        curve_diagnostics(make_params(3, 0.6, 1.2, 1.0, 1.0, 1.0))
+    assert err.value.constraint == "alpha, beta"
+
+
 def test_diagnostics_rejects_wide_power():
     with pytest.raises(DomainError):
         curve_diagnostics(P_A)  # 2* = 10 >= 4
 
 
 def test_slope_fd_matches_analytic():
-    ks, fd = finite_difference_lprime(P_B, 10_000)
+    ks, fd = finite_difference_lprime(P_B)
     an = curve_lprime(P_B, ks)
     ksup = k_sup(P_B)
     win = (ks >= 0.1 * ksup) & (ks <= 0.9 * ksup)
@@ -712,7 +741,7 @@ def test_slope_fd_matches_analytic():
 
 
 def test_grid_slope_minimum_bound_at_threshold():
-    _, fd = finite_difference_lprime(P_B, 10_000)
+    _, fd = finite_difference_lprime(P_B)
     assert np.min(fd) >= -1.0 - 1e-6
 
 
@@ -790,6 +819,32 @@ def test_domination_concave_regime():
     report = check_domination(p, sol, samples=2000, seed=3)
     assert report.violations == 0
     assert report.worst_margin >= -1e-9
+
+
+def test_domination_with_no_samples_has_no_feasible_pair():
+    sol = find_k0_l0(P_A)
+    report = check_domination(P_A, sol, samples=0)
+    assert report == DominationReport(0, 0, 0, None, None)
+
+
+@pytest.mark.parametrize("samples, seed, constraint", [
+    (-1, 0, "samples"), (DOMINATION_CAP + 1, 0, "samples"),
+    (10 ** 400, 0, "samples"), (10, -1, "seed")])
+def test_domination_refuses_counts_and_seeds_outside_their_domain(
+        samples, seed, constraint):
+    sol = find_k0_l0(P_A)
+    with pytest.raises(DomainError) as err:
+        check_domination(P_A, sol, samples=samples, seed=seed)
+    assert err.value.constraint == constraint
+
+
+def test_domination_box_beyond_the_float_range_is_numerical_error():
+    # l_sup = mu2^(-2/(2*-2)) = 1e640 leaves the float range
+    p = make_params(3, 0.5, 1.5, 1.0, 1e-320, 1.0)
+    fake = CouplingSolution(k=1.0, l=1.0, res1=0.0, res2=0.0)
+    with pytest.raises(NumericalError) as err:
+        check_domination(p, fake, samples=10)
+    assert err.value.constraint == "0 < k_sup, l_sup < inf"
 
 
 def test_domination_counterexample_carries_point():

@@ -329,6 +329,14 @@ def test_branch_fold_mechanism_truncates():
     assert path.samples[-1].gamma < 0.99
 
 
+def test_branch_stops_at_the_sample_cap(monkeypatch):
+    monkeypatch.setattr(asymptotics, "MAX_BRANCH_SAMPLES", 5)
+    path = continuation_branch(make_params(3, 0.5, 1.5, 1.0, 1.0, 0.0), 0.9)
+    assert path.termination == "stalled"
+    assert len(path.samples) == 5
+    assert path.samples[-1].gamma < 0.9
+
+
 def test_branch_genuine_fold_for_asymmetric_strengths():
     # with unequal strengths the branch from the decoupled point turns
     # around well below the attainment threshold: conditioning blows up,

@@ -44,6 +44,13 @@ def test_unit_distance_value():
     assert bubble_eval(spec, P3, (1.0, 0.0, 0.0)) == pytest.approx(0.5, abs=1e-15)
 
 
+def test_scalar_point_in_one_dimension_gives_a_float():
+    p = make_params(1, 0.4, 5.0, 1.0, 1.0, 1.0)  # decay (n - 2s)/2 = 0.1
+    value = bubble_eval(BubbleSpec(epsilon=1.0, center=(0.0,)), p, 0.5)
+    assert type(value) is float
+    assert value == pytest.approx(1.25 ** -0.1, rel=1e-15)
+
+
 def test_scaling_identity_random_points():
     rng = np.random.default_rng(2)
     lam = 1.7

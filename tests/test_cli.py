@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -326,6 +327,23 @@ def test_sobolev_command(capsys):
     assert payload["closed_form"] == pytest.approx(2.70257, abs=1e-4)
     assert payload["rel_gap"] <= 0.08  # cheap grid; acceptance runs 1%
     assert payload["est_error"] >= 0.0
+
+
+def test_sobolev_refuses_n_at_most_2s(capsys):
+    code, out, err = run_main(capsys, "sobolev", "--n", "1", "--s", "0.5")
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "domain"
+    assert payload["constraint"] == "n, s"
+
+
+def test_sobolev_gamma_function_overflow_is_numerical_error(capsys):
+    # Gamma(n) leaves the float range above n = 171
+    code, out, err = run_main(capsys, "sobolev", "--n", "200", "--s", "0.5")
+    assert code == 2 and out == ""
+    payload = json.loads(err)
+    assert (payload["error"], payload["constraint"]) == \
+        ("numerical", "overflow")
 
 
 def test_verify_command_with_dump(tmp_path, capsys):
@@ -698,6 +716,30 @@ def test_negative_domination_samples_is_domain_error(tmp_path, capsys):
         ("domain", "samples", -5)
 
 
+def test_negative_domination_seed_is_domain_error(tmp_path, capsys):
+    params = write_params(tmp_path, gamma=2.0)
+    code, out, err = run_main(capsys, "--seed", "-1", "solve", "--params",
+                              params, "--check-domination", "10")
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert (payload["error"], payload["constraint"], payload["value"]) == \
+        ("domain", "seed", -1)
+
+
+def test_overflowing_gamma_records_a_sweep_row(tmp_path, capsys):
+    # alpha gamma overflows a float at the second point; the row says so
+    grid = {"axes": {"gamma": [2.0, 1.7e308]},
+            "fixed": {"n": 3, "s": 0.5, "alpha": 1.5, "mu1": 1, "mu2": 1}}
+    grid_path = tmp_path / "grid.json"
+    grid_path.write_text(json.dumps(grid))
+    code, out, _ = run_main(capsys, "sweep", "--grid", str(grid_path))
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert len(lines) == 3 and lines[1].endswith(",")  # no error
+    assert lines[2].endswith(
+        ",numerical: alpha gamma or beta gamma overflows a float")
+
+
 def test_sweep_matches_golden_file(tmp_path, capsys):
     out_path = tmp_path / "sweep.csv"
     code, _, _ = run_main(capsys, "sweep", "--grid",
@@ -925,3 +967,140 @@ def test_console_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["label"] == "ATTAINED_B"
+
+
+# ---------------------------------------------------------------------------
+# seeded contract fuzz
+
+FUZZ_COMMANDS = ("classify", "solve", "energy", "sobolev", "verify",
+                 "perturb", "continue", "sweep")
+#: flag values that stress a command's checks or its parser
+FUZZ_BAD_FLAGS = ("nan", "inf", "-inf", "0", "-1", "-2.5", "abc", "", "true",
+                  "1000", "1e308", "-1e308", "1e-320", "1e999", "9" * 400)
+#: the same for a JSON parameter or grid file, with JSON's own types
+FUZZ_BAD_JSON = (math.nan, math.inf, -math.inf, 0, -1, -2.5, "abc", "", True,
+                 False, None, [1.5], {}, 1000, 1e308, -1e308, 1e-320,
+                 10 ** 400)
+
+
+def _fuzz_fields(rng, regime):
+    """Valid raw parameter fields: any admissible point, or one of regime
+    "A" (ratio reduction), "B" (continuation) or "neg" (gamma < 0)."""
+    if regime == "A":
+        n, s = 1, rng.uniform(0.27, 0.48)
+    else:
+        n = int(rng.choice([1, 2, 3, 3, 3]))
+        s = rng.uniform(0.05, min(0.95, (0.25 if regime == "B" else 0.5) * n
+                                  - 0.01))
+    ts = 2.0 * n / (n - 2.0 * s)
+    if regime == "A":
+        lo, hi = 2.0, ts - 2.0
+    elif regime == "B":
+        lo, hi = max(1.0, ts - 2.0), min(2.0, ts - 1.0)
+    else:
+        lo, hi = 1.0, ts - 1.0
+    return {"n": n, "s": s, "alpha": lo + rng.uniform(0.05, 0.95) * (hi - lo),
+            "mu1": 10.0 ** rng.uniform(-1, 1),
+            "mu2": 10.0 ** rng.uniform(-1, 1),
+            "gamma": (-rng.uniform(0.1, 3.0) if regime == "neg"
+                      else rng.uniform(-3.0, 10.0))}
+
+
+def _fuzz_value(rng, valid, bad, p_bad):
+    return bad[rng.integers(len(bad))] if rng.random() < p_bad else valid
+
+
+def _fuzz_argv(rng, tmp_path, call):
+    """One command line for ``cli.main``: mostly valid, some values bad."""
+    p_bad = rng.choice([0.0, 0.0, 0.05, 0.2])
+    flag = lambda valid: _fuzz_value(rng, valid, FUZZ_BAD_FLAGS, p_bad)
+    command = str(rng.choice(FUZZ_COMMANDS))
+    regime = {"perturb": "neg", "continue": "B"}.get(command)
+    if command == "solve" and rng.random() < 0.3:
+        regime = "A"
+    fields = _fuzz_fields(rng, regime)
+    argv = []
+    if rng.random() < 0.3:
+        argv += ["--seed", flag(str(rng.integers(100)))]
+    argv.append(command)
+    if command not in ("sobolev", "sweep"):
+        in_file = set(rng.choice(list(fields), rng.integers(7), replace=False))
+        if in_file:
+            path = tmp_path / f"params{call}.json"
+            path.write_text(json.dumps(
+                {k: _fuzz_value(rng, fields[k], FUZZ_BAD_JSON, p_bad)
+                 for k in in_file}))
+            argv += ["--params", str(path)]
+        for key in set(fields) - in_file:
+            argv += [f"--{key}", flag(repr(fields[key]))]
+    grid = ["--N", flag(str(rng.choice([4, 8, 16])))]
+    if command == "solve":
+        argv += ["--method", "ratio" if regime == "A" else "bisection",
+                 "--check-domination", flag(str(rng.choice([0, 10, 300])))]
+    elif command == "energy" and rng.random() < 0.5:
+        argv += ["--Ss", flag(repr(rng.uniform(1.0, 50.0)))]
+    elif command == "sobolev":
+        argv += ["--n", flag(str(fields["n"])), "--s", flag(repr(fields["s"])),
+                 "--L", flag(repr(rng.uniform(2.0, 30.0))), *grid]
+    elif command == "verify":
+        argv += ["--L", flag(repr(rng.uniform(2.0, 30.0))),
+                 "--eps", flag(repr(rng.uniform(0.3, 3.0))), *grid]
+        if rng.random() < 0.3:
+            argv += ["--dump", str(_fuzz_value(
+                rng, tmp_path / f"field{call}.bin", (tmp_path,), p_bad))]
+    elif command == "perturb":
+        R = ",".join(repr(rng.uniform(4.0, 40.0))
+                     for _ in range(rng.integers(1, 4)))
+        argv += ["--R", flag(R), "--eps", flag(repr(rng.uniform(0.5, 2.0))),
+                 *grid]
+    elif command == "continue":
+        argv += ["--gamma-max", flag(repr(rng.uniform(0.02, 0.5))),
+                 "--step", flag(rng.choice(["auto", "0.1", "0.3"]))]
+    elif command == "sweep":
+        axis = rng.choice(list(fields))
+        values = [_fuzz_value(rng, fields[axis] * rng.uniform(0.5, 2.0),
+                              FUZZ_BAD_JSON, p_bad)
+                  for _ in range(rng.integers(0, 5))]
+        if axis == "n":
+            values = [_fuzz_value(rng, fields["n"], FUZZ_BAD_JSON, p_bad)]
+        fixed = {k: _fuzz_value(rng, v, FUZZ_BAD_JSON, p_bad)
+                 for k, v in fields.items() if k != axis}
+        path = tmp_path / f"grid{call}.json"
+        path.write_text(json.dumps({"axes": {axis: values}, "fixed": fixed}))
+        argv += ["--grid", str(path)]
+    if command in ("solve", "verify", "perturb", "continue", "sweep") \
+            and rng.random() < 0.3:
+        argv += ["--tol", flag(rng.choice(["1e-12", "1e-10", "0"]))]
+    if rng.random() < 0.2:
+        # a file to write, a directory, or a file in a missing directory
+        argv += ["--out", str(_fuzz_value(
+            rng, tmp_path / f"out{call}", (tmp_path, tmp_path / "no" / "f"),
+            p_bad))]
+    if rng.random() < 0.02:
+        argv.append("--no-such-flag")
+    return command, argv
+
+
+def test_cli_contract_holds_over_a_seeded_fuzz(tmp_path, capsys):
+    # about 1000 calls over all eight commands: the exit code is one of the
+    # four documented ones, a domain or numerical failure writes exactly one
+    # JSON object with "error" and "message" to stderr, success writes
+    # nothing there, and no exception escapes main
+    rng = np.random.default_rng(17)
+    seen = set()
+    for call in range(1000):
+        command, argv = _fuzz_argv(rng, tmp_path, call)
+        code = main(argv)
+        out = capsys.readouterr()
+        assert code in (0, 1, 2, 64), argv
+        if code in (1, 2):
+            payload = json.loads(out.err)
+            assert isinstance(payload, dict), argv
+            assert {"error", "message"} <= set(payload), argv
+        elif code == 0:
+            assert out.err == "", argv
+        seen.add((command, code))
+    # every command succeeds somewhere, and every exit code occurs
+    assert {command for command, code in seen if code == 0} \
+        == set(FUZZ_COMMANDS)
+    assert {code for _, code in seen} == {0, 1, 2, 64}

@@ -1,11 +1,11 @@
+import json
 import math
 
 import pytest
 from hypothesis import given, settings
 
 from critsys.errors import DomainError
-from critsys.params import (derived_exponents, make_params, params_from_dict,
-                            params_from_json)
+from critsys.params import make_params, params_from_dict
 
 from conftest import system_params
 
@@ -48,6 +48,16 @@ def test_named_rejections():
     with pytest.raises(DomainError) as err:
         make_params(3.5, 0.5, 1.5, 1.0, 1.0, 0.0)
     assert err.value.constraint == "n"
+    with pytest.raises(DomainError) as err:
+        make_params(0, 0.5, 1.5, 1.0, 1.0, 1.0)
+    assert err.value.constraint == "n"
+    # integers beyond the float range are refused, not overflowed
+    with pytest.raises(DomainError) as err:
+        make_params(10 ** 400, 0.5, 1.5, 1.0, 1.0, 1.0)
+    assert err.value.constraint == "n"
+    with pytest.raises(DomainError) as err:
+        make_params(3, 0.5, 1.5, 10 ** 400, 1.0, 1.0)
+    assert err.value.constraint == "mu1"
     with pytest.raises(DomainError):
         make_params(3, float("nan"), 1.5, 1.0, 1.0, 0.0)
     with pytest.raises(DomainError):
@@ -62,28 +72,20 @@ def test_critical_exponent_values():
         == pytest.approx(10.0, abs=1e-12)
 
 
-def test_derived_exponents():
-    d = derived_exponents(make_params(3, 0.5, 1.5, 1, 1, 0))
-    assert d.two_star == pytest.approx(3.0)
-    assert d.p_half == pytest.approx(0.5)
-    assert d.decay_power == pytest.approx(2.0)
-    assert d.p_half > 0
-
-
 @given(system_params())
 @settings(max_examples=200)
 def test_sum_constraint_holds_exactly(p):
     assert abs(p.alpha + p.beta - p.two_star) <= 1e-12
     assert p.alpha > 1.0 and p.beta > 1.0
-    assert derived_exponents(p).p_half > 0.0
+    assert p.two_star > 2.0
 
 
 def test_params_from_dict_roundtrip():
     p = params_from_dict({"n": 3, "s": 0.5, "alpha": 1.5, "mu1": 1.0,
                           "mu2": 2.0, "gamma": -1.0})
     assert p.mu2 == 2.0 and p.gamma == -1.0
-    q = params_from_json(
-        '{"n": 1, "s": 0.4, "alpha": 5.0, "mu1": 1, "mu2": 1, "gamma": 8}')
+    q = params_from_dict(json.loads(
+        '{"n": 1, "s": 0.4, "alpha": 5.0, "mu1": 1, "mu2": 1, "gamma": 8}'))
     assert q.beta == pytest.approx(5.0, abs=1e-12)
 
 

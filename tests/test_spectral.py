@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -453,8 +455,19 @@ def test_load_rejects_bad_magic(tmp_path):
 
 @pytest.mark.parametrize("s", [np.nan, 0.0, 7.0])
 def test_load_rejects_an_order_outside_0_1(tmp_path, s):
+    # dump_field refuses such an s, so the file is written by hand
     path = tmp_path / "field.bin"
-    dump_field(GridField(1, 8, 2.0, np.zeros(8)), s, str(path))
+    path.write_bytes(struct.pack("<8sii", b"CRITSYS1", 1, 8)
+                     + struct.pack("<dd", 2.0, s) + bytes(8 * 8))
     with pytest.raises(DomainError) as info:
         load_field(str(path))
     assert info.value.constraint == "s"
+
+
+@pytest.mark.parametrize("s", [np.nan, 0.0, 7.0])
+def test_dump_rejects_an_order_outside_0_1_and_writes_nothing(tmp_path, s):
+    path = tmp_path / "field.bin"
+    with pytest.raises(DomainError) as info:
+        dump_field(GridField(1, 8, 2.0, np.zeros(8)), s, str(path))
+    assert info.value.constraint == "s"
+    assert not path.exists()
