@@ -59,6 +59,13 @@ DOMINATION_SLACK = 1e-9
 DOMINATION_CAP = 10 ** 7
 
 
+def check_tol(tol: float) -> None:
+    """A ``tol`` that is not finite and nonnegative is a `DomainError`."""
+    if not 0.0 <= tol < math.inf:
+        raise DomainError("tol must be finite and nonnegative",
+                          constraint="tol", value=tol)
+
+
 def _scalar(out):
     """``out`` as a Python float when it is 0-d, else unchanged."""
     return out if np.ndim(out) else float(out)
@@ -464,6 +471,7 @@ def find_k0_l0_batch(points, tol: float = RESIDUAL_TOL) -> list:
     points share one evaluation of f over their scans and one bisection of
     their brackets; each root is the one a call for its point alone returns.
     """
+    check_tol(tol)
     points = list(points)
     results = []
     for start in range(0, len(points), _BATCH):
@@ -655,6 +663,7 @@ def solve_ratio_reduction(params: SystemParams,
     so f1 - f2 has a unique sign change; the unique root of the system is
     k = x0 y0/(1+x0), l = y0/(1+x0) with y0 = f1(x0)^(2/(2*-2)).
     """
+    check_tol(tol)
     _require_positive_gamma(params)
     if regimes.case_of(params) != "A":
         raise DomainError(
@@ -767,7 +776,6 @@ class DominationReport:
     feasible: int
     violations: int
     worst_margin: float | None
-    worst_point: tuple[float, float] | None
 
 
 def check_domination(params: SystemParams, solution: CouplingSolution,
@@ -798,10 +806,8 @@ def check_domination(params: SystemParams, solution: CouplingSolution,
     margins = c + d - (k0 + l0)
     n_feas = int(np.count_nonzero(feas))
     if n_feas == 0:
-        return DominationReport(samples, 0, 0, None, None)
-    worst_idx = np.flatnonzero(feas)[np.argmin(margins[feas])]
-    worst_margin = float(margins[worst_idx])
-    worst_point = (float(c[worst_idx]), float(d[worst_idx]))
+        return DominationReport(samples, 0, 0, None)
+    worst_margin = float(np.min(margins[feas]))
     bad = feas & (margins < -DOMINATION_SLACK)
     n_bad = int(np.count_nonzero(bad))
     if n_bad:
@@ -810,4 +816,4 @@ def check_domination(params: SystemParams, solution: CouplingSolution,
             "feasible pair undercuts the root in c + d",
             constraint="c + d >= k0 + l0",
             value=(float(c[i]), float(d[i])))
-    return DominationReport(samples, n_feas, 0, worst_margin, worst_point)
+    return DominationReport(samples, n_feas, 0, worst_margin)

@@ -46,7 +46,6 @@ _HALVINGS = 0.5 ** np.arange(48.0)
 
 @dataclass(frozen=True)
 class OverlapDatum:
-    R: float
     theta: float
 
 
@@ -126,14 +125,14 @@ def _theta_on_box(params: SystemParams, R: float, quad: OverlapQuadrature,
         return _distinct_bubble(BubbleSpec(quad.eps, center, kappa), params,
                                 quad.N, L)
 
-    (w1, maps), (w2, _) = w(1.0, params.mu1), w(-1.0, params.mu2)
-    hn = (2.0 * L / quad.N) ** params.n
-    overlap = w1 ** a
-    w2 **= b
-    overlap *= w2
-    num = hn * float(_expanded_sum(overlap, maps))
-    w1 **= ts
-    den = hn * params.mu1 * float(_expanded_sum(w1, maps))
+    w1, w2 = w(1.0, params.mu1), w(-1.0, params.mu2)
+    hn = w1.h ** params.n
+    overlap = w1.box ** a
+    w2.box **= b
+    overlap *= w2.box
+    num = hn * float(_expanded_sum(overlap, w1.maps))
+    w1.box **= ts
+    den = hn * params.mu1 * float(_expanded_sum(w1.box, w1.maps))
     if not den > 0.0:
         raise ResolutionError("critical integral underflows on this grid",
                               constraint="critical_norm", value=den)
@@ -161,28 +160,20 @@ def overlap_theta(params: SystemParams, R: float,
             raise QuadratureError(
                 "box tails contribute more than 10% to the overlap ratio",
                 constraint="tails", value=abs(theta - theta2))
-    return OverlapDatum(R=float(R), theta=float(theta))
+    return OverlapDatum(theta=float(theta))
 
 
 # ---------------------------------------------------------------------------
 # fixed point for (t_R, s_R)
 
-def perturbation_constants(params: SystemParams) -> tuple[np.ndarray, np.ndarray]:
-    """Matrix B and vector c of the linearization around (1, 1)."""
+def contraction_ball(params: SystemParams, theta: float) -> float:
+    """Radius 2 ||c||_1 theta of the certified fixed-point ball, where
+    c = -(gamma/2*) (alpha, beta) 2/(2*-2) is the constant term of the
+    linearization around (1, 1)."""
     a, b, ts, g = params.alpha, params.beta, params.two_star, params.gamma
     d = ts - 2.0
-    B = np.array([
-        [-(a * g / ts) * (a - 2.0) / d, -(a * g / ts) * b / d],
-        [-(b * g / ts) * a / d, -(b * g / ts) * (b - 2.0) / d],
-    ])
-    c = np.array([-(a * g / ts) * 2.0 / d, -(b * g / ts) * 2.0 / d])
-    return B, c
-
-
-def contraction_ball(params: SystemParams, theta: float) -> float:
-    """Radius 2 ||c||_1 theta of the certified fixed-point ball."""
-    _, c = perturbation_constants(params)
-    return 2.0 * float(np.sum(np.abs(c))) * theta
+    return 2.0 * (abs((a * g / ts) * 2.0 / d)
+                  + abs((b * g / ts) * 2.0 / d)) * theta
 
 
 def solve_tR_sR(params: SystemParams, theta: float,
@@ -199,6 +190,7 @@ def solve_tR_sR(params: SystemParams, theta: float,
     ``FIXED_POINT_MAX_ITER`` steps raise `DivergenceError`: theta is
     outside the contraction regime.
     """
+    algebraic.check_tol(tol)
     if theta < 0.0:
         raise DomainError("theta must be nonnegative", constraint="theta",
                           value=theta)
@@ -258,6 +250,7 @@ def energy_gap_vs_R(params: SystemParams, R_list,
     upper bound t_R mu1^(-(n-2s)/2s) + s_R mu2^(-(n-2s)/2s), and its gap to
     the non-attained value.  The gap must shrink toward zero as R grows.
     """
+    algebraic.check_tol(tol)
     if not params.gamma < 0.0:
         raise DomainError("the separation ladder applies to gamma < 0",
                           constraint="gamma < 0", value=params.gamma)
@@ -301,6 +294,7 @@ def continuation_branch(params_base: SystemParams, gamma_max: float,
     branch truncated.  ``gamma_max`` and a given ``step`` must be positive
     and finite.
     """
+    algebraic.check_tol(tol)
     p0 = params_base
     if regimes.case_of(p0) != "B":
         raise DomainError("continuation needs n > 4s and 1 < alpha, beta < 2",

@@ -28,8 +28,8 @@ import numpy as np
 
 from .errors import DomainError, ResolutionError
 from .params import SystemParams
-from .spectral import (GridField, _check_grid, _distinct_radius_sq, _finite,
-                       integrate, pde_residual_single, seminorm)
+from .spectral import (GridField, _check_grid, _distinct_radius_sq, integrate,
+                       pde_residual_single, seminorm)
 
 #: bubble scale relative to the box half-width when not given explicitly
 DEFAULT_EPS_FRACTION = 1.0 / 30.0
@@ -79,23 +79,21 @@ def bubble_field(spec: BubbleSpec, params: SystemParams, N: int,
                  L: float) -> GridField:
     """Sample the bubble on the grid of [-L, L)^n, held as its
     distinct-offset box with every axis reduced, the first one too."""
-    return GridField(params.n, N, L,
-                     *_distinct_bubble(spec, params, N, L, whole_first=False))
+    return _distinct_bubble(spec, params, N, L, whole_first=False)
 
 
 def _distinct_bubble(spec: BubbleSpec, params: SystemParams, N: int,
-                     L: float, whole_first: bool = True):
-    """The bubble on the distinct-offset box of the grid of [-L, L)^n,
-    checked finite, and the index maps that `spectral._expand` takes it to
-    the grid with (see `spectral._distinct_radius_sq` for ``whole_first``;
-    `perturb`'s pair of bubbles keeps the first axis whole)."""
+                     L: float, whole_first: bool = True) -> GridField:
+    """The bubble on the grid of [-L, L)^n, held as its distinct-offset box
+    (see `spectral._distinct_radius_sq` for ``whole_first``; `perturb`'s
+    pair of bubbles keeps the first axis whole)."""
     decay = 0.5 * (params.n - 2.0 * params.s)
     values, maps = _distinct_radius_sq(params.n, N, L, spec.center,
                                        whole_first)
     values += spec.epsilon ** 2
     values **= -decay
     values *= spec.kappa
-    return _finite(values), maps
+    return GridField(params.n, N, L, values, maps)
 
 
 def shape_integral(n: int) -> float:

@@ -229,15 +229,11 @@ def _cmd_classify(args):
     }
 
 
-def _solve_for(p: SystemParams, method: str, tol: float):
-    if method == "ratio":
-        return algebraic.solve_ratio_reduction(p, tol=tol)
-    return algebraic.find_k0_l0(p, tol=tol)
-
-
 def _cmd_solve(args):
     p = _resolve_params(args)
-    sol = _solve_for(p, args.method, args.tol)
+    solve = algebraic.solve_ratio_reduction if args.method == "ratio" \
+        else algebraic.find_k0_l0
+    sol = solve(p, tol=args.tol)
     payload = {"k0": sol.k, "l0": sol.l, "res1": sol.res1, "res2": sol.res2,
                "method": sol.method, "params": _record(p)}
     if args.check_domination:
@@ -296,7 +292,7 @@ def _cmd_verify(args):
     }
     if p.gamma >= 0.0:
         try:
-            sol = _solve_for(p, "bisection", args.tol)
+            sol = algebraic.find_k0_l0(p, tol=args.tol)
         except CritsysError as exc:
             payload["system_skipped"] = exc.to_json()
         else:
@@ -404,10 +400,7 @@ def main(argv=None) -> int:
     try:
         # non-finite values end in an error JSON; numpy's warnings are noise
         with np.errstate(all="ignore"):
-            tol = getattr(args, "tol", 0.0)
-            if not 0.0 <= tol < math.inf:
-                raise DomainError("tol must be finite and nonnegative",
-                                  constraint="tol", value=tol)
+            algebraic.check_tol(getattr(args, "tol", 0.0))
             try:
                 result = args.handler(args)
             except MemoryError:  # numpy could not allocate a grid array

@@ -5,10 +5,13 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import pytest
 from hypothesis import strategies as st
 
+from critsys.algebraic import find_k0_l0_batch
 from critsys.errors import DomainError
 from critsys.params import make_params
+from critsys.regimes import ATTAINED, classify
 
 
 @st.composite
@@ -68,6 +71,34 @@ def rng_params(rng: np.random.Generator, *, regime: str,
     return {"n": n, "s": float(s), "alpha": float(alpha),
             "mu1": float(rng.uniform(*mu_range)),
             "mu2": float(rng.uniform(*mu_range))}
+
+
+def whole_box_params(rng):
+    """Any valid parameter set: mu over [1e-3, 1e3], |gamma| up to 1e6."""
+    n = int(rng.integers(1, 7))
+    s = rng.uniform(0.02, min(0.98, 0.5 * n - 0.005))
+    ts = 2.0 * n / (n - 2.0 * s)
+    alpha = 1.0 + rng.uniform(0.001, 0.999) * (ts - 2.0)
+    mu1, mu2 = 10.0 ** rng.uniform(-3.0, 3.0, 2)
+    gamma = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-4.0, 6.0)
+    return make_params(n, s, alpha, mu1, mu2, gamma)
+
+
+@pytest.fixture(scope="session")
+def attained_whole_box():
+    """The first 1000 ATTAINED draws of `whole_box_params` (rng seed 11,
+    gamma folded positive), each with its label and what one
+    `find_k0_l0_batch` over all of them returns for it."""
+    rng = np.random.default_rng(11)
+    points, labels = [], []
+    while len(points) < 1000:
+        p = whole_box_params(rng)
+        p = p.replace_gamma(abs(p.gamma))
+        label = classify(p).label
+        if label in ATTAINED:
+            points.append(p)
+            labels.append(label)
+    return list(zip(points, labels, find_k0_l0_batch(points)))
 
 
 def case_edge_draws(rng: np.random.Generator, count: int) -> list:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from critsys import algebraic
+from critsys import algebraic, asymptotics
 from critsys.algebraic import (BISECT_RTOL, BISECT_XTOL, DOMINATION_CAP,
                                CouplingSolution, DominationReport, bisect,
                                check_domination, curve_diagnostics,
@@ -23,7 +23,7 @@ from critsys.params import make_params
 from critsys.regimes import gamma_threshold_A, gamma_threshold_B
 
 from conftest import (case_edge_draws, concave_regime_params, rng_params,
-                      symmetric_threshold)
+                      symmetric_threshold, whole_box_params)
 
 
 def symmetric_root(ts, mu, gamma):
@@ -71,17 +71,6 @@ def test_F1_alpha_exactly_two_at_zero_k():
     # the k power in the coupling term degenerates to a constant
     p = make_params(1, 0.4, 2.0, 1.0, 1.0, 1.0)  # 2* = 10, beta = 8
     assert eval_F1(p, 0.0, 1.0) == pytest.approx(2.0 / 10.0 - 1.0, abs=1e-15)
-
-
-def whole_box_params(rng):
-    """Any valid parameter set: mu over [1e-3, 1e3], |gamma| up to 1e6."""
-    n = int(rng.integers(1, 7))
-    s = rng.uniform(0.02, min(0.98, 0.5 * n - 0.005))
-    ts = 2.0 * n / (n - 2.0 * s)
-    alpha = 1.0 + rng.uniform(0.001, 0.999) * (ts - 2.0)
-    mu1, mu2 = 10.0 ** rng.uniform(-3.0, 3.0, 2)
-    gamma = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-4.0, 6.0)
-    return make_params(n, s, alpha, mu1, mu2, gamma)
 
 
 def test_F1_F2_bit_identical_to_explicit_expressions():
@@ -383,6 +372,36 @@ def test_swap_symmetry():
         a, b = find_k0_l0(p), find_k0_l0(q)
         assert b.k == pytest.approx(a.l, rel=1e-9, abs=1e-11)
         assert b.l == pytest.approx(a.k, rel=1e-9, abs=1e-11)
+
+
+P_NEG = make_params(3, 0.5, 1.5, 1.0, 1.5, -1.0)
+
+#: every library entry point that takes a residual tolerance
+TOL_CALLS = {
+    "find_k0_l0": lambda tol: find_k0_l0(P_B, tol=tol),
+    "find_k0_l0_batch": lambda tol: find_k0_l0_batch([P_B, P_A], tol=tol),
+    "solve_ratio_reduction": lambda tol: solve_ratio_reduction(P_A, tol=tol),
+    "solve_tR_sR": lambda tol: asymptotics.solve_tR_sR(P_NEG, 0.05, tol=tol),
+    "energy_gap_vs_R": lambda tol: asymptotics.energy_gap_vs_R(
+        P_NEG, [10.0], tol=tol),
+    "continuation_branch": lambda tol: asymptotics.continuation_branch(
+        make_params(3, 0.5, 1.5, 1.0, 1.5, 2.0), 1.0, tol=tol),
+}
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("name", sorted(TOL_CALLS))
+def test_library_refuses_a_tol_outside_its_domain(name, tol):
+    # as the CLI does: without the check, tol = nan or inf passed every
+    # residual test, and solve_tR_sR returned (1, 1) at theta = 0.05
+    with pytest.raises(DomainError) as exc:
+        TOL_CALLS[name](tol)
+    assert exc.value.constraint == "tol"
+
+
+def test_tol_zero_is_in_the_domain():
+    algebraic.check_tol(0.0)
+    assert find_k0_l0_batch([], tol=0.0) == []
 
 
 # ---------------------------------------------------------------------------
@@ -824,7 +843,7 @@ def test_domination_concave_regime():
 def test_domination_with_no_samples_has_no_feasible_pair():
     sol = find_k0_l0(P_A)
     report = check_domination(P_A, sol, samples=0)
-    assert report == DominationReport(0, 0, 0, None, None)
+    assert report == DominationReport(0, 0, 0, None)
 
 
 @pytest.mark.parametrize("samples, seed, constraint", [

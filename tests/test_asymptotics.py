@@ -9,8 +9,7 @@ from critsys.algebraic import (eval_F1, eval_F2, gamma_gradient, jacobian,
                                k_sup, l_sup, newton_polish)
 from critsys.asymptotics import (MAX_BRANCH_SAMPLES, OverlapQuadrature,
                                  contraction_ball, continuation_branch,
-                                 energy_gap_vs_R, overlap_theta,
-                                 perturbation_constants, solve_tR_sR)
+                                 energy_gap_vs_R, overlap_theta, solve_tR_sR)
 from critsys.bubbles import (BubbleSpec, bubble_field, ground_state_amplitude,
                              sobolev_constant_closed_form)
 from critsys.errors import (DivergenceError, DomainError, NumericalError,
@@ -205,13 +204,15 @@ def test_fixed_point_overflowing_map_is_divergence():
 
 
 def test_linearization_constants():
-    B, c = perturbation_constants(P_NEG)
-    a, b, ts, g = P_NEG.alpha, P_NEG.beta, P_NEG.two_star, P_NEG.gamma
-    d = ts - 2.0
-    assert c[0] == pytest.approx(-(a * g / ts) * 2.0 / d)
-    assert c[1] == pytest.approx(-(b * g / ts) * 2.0 / d)
-    assert B[0, 1] == pytest.approx(-(a * g / ts) * b / d)
-    assert B[1, 0] == pytest.approx(-(b * g / ts) * a / d)
+    # the ball's radius is 2 ||c||_1 theta, c the constant term of the
+    # linearization around (1, 1): c = -(gamma/2*) (alpha, beta) 2/(2*-2)
+    for p in (P_NEG, P_SYM, make_params(1, 0.4, 4.0, 0.7, 1.3, -2.0)):
+        a, b, ts, g = p.alpha, p.beta, p.two_star, p.gamma
+        d = ts - 2.0
+        c = [-(a * g / ts) * 2.0 / d, -(b * g / ts) * 2.0 / d]
+        assert contraction_ball(p, 0.01) == pytest.approx(
+            2.0 * (abs(c[0]) + abs(c[1])) * 0.01, rel=1e-15)
+    assert contraction_ball(P_NEG, 0.0) == 0.0
 
 
 def test_gamma_negative_gives_supersolution_side():

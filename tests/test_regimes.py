@@ -342,3 +342,14 @@ def test_ordering_rejects_nonpositive():
     p = make_params(3, 0.5, 1.5, 1.0, 1.0, 0.5)
     with pytest.raises(DomainError):
         energy_ordering_check(p, 0.0, 1.0)
+
+
+def test_ordering_splits_the_attained_cases_over_the_box(attained_whole_box):
+    # the paper's energy structure: in case A the minimizer's k + l lies
+    # above the cheaper single-mode level, in case B below it
+    ordering = {ATTAINED_A: [], ATTAINED_B: []}
+    for p, label, sol in attained_whole_box:
+        if isinstance(sol, CouplingSolution):
+            ordering[label].append(energy_ordering_check(p, sol.k, sol.l))
+    assert len(ordering[ATTAINED_A]) >= 94 and all(ordering[ATTAINED_A])
+    assert len(ordering[ATTAINED_B]) >= 326 and not any(ordering[ATTAINED_B])
