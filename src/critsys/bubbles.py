@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainError, ResolutionError
+from .errors import DomainError, NumericalError, ResolutionError
 from .params import SystemParams
 from .spectral import (GridField, _check_grid, _distinct_radius_sq, integrate,
                        pde_residual_single, seminorm)
@@ -96,9 +96,18 @@ def _distinct_bubble(spec: BubbleSpec, params: SystemParams, N: int,
     return GridField(params.n, N, L, values, maps)
 
 
+def _gamma_overflow(n: int) -> NumericalError:
+    return NumericalError(f"a Gamma value overflows a float at n = {n}",
+                          constraint="overflow", value=n)
+
+
 def shape_integral(n: int) -> float:
-    """Closed form of the full-space integral of (1 + |z|^2)^(-n)."""
-    return math.pi ** (0.5 * n) * math.gamma(0.5 * n) / math.gamma(n)
+    """Closed form of the full-space integral of (1 + |z|^2)^(-n); past
+    n = 171, where Gamma(n) leaves the float range, a `NumericalError`."""
+    try:
+        return math.pi ** (0.5 * n) * math.gamma(0.5 * n) / math.gamma(n)
+    except OverflowError:
+        raise _gamma_overflow(n) from None
 
 
 def bubble_critical_norm(spec: BubbleSpec, params: SystemParams) -> float:
@@ -119,9 +128,14 @@ def _closed_form(n: int, s: float) -> float:
     if not (0.0 < s < 1.0 and n > 2.0 * s):
         raise DomainError("need 0 < s < 1 and n > 2s", constraint="n, s",
                           value=(n, s))
-    return (2.0 ** (2.0 * s) * math.pi ** s
-            * math.gamma(0.5 * (n + 2.0 * s)) / math.gamma(0.5 * (n - 2.0 * s))
-            * (math.gamma(0.5 * n) / math.gamma(float(n))) ** (2.0 * s / n))
+    try:
+        return (2.0 ** (2.0 * s) * math.pi ** s
+                * math.gamma(0.5 * (n + 2.0 * s))
+                / math.gamma(0.5 * (n - 2.0 * s))
+                * (math.gamma(0.5 * n) / math.gamma(float(n)))
+                ** (2.0 * s / n))
+    except OverflowError:
+        raise _gamma_overflow(n) from None
 
 
 def rayleigh_quotient(params: SystemParams, field: GridField) -> float:

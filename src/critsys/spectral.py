@@ -9,15 +9,22 @@ Fields are real, so the transforms are numpy's real-to-complex `rfftn` and
 its inverse `irfftn`: the spectrum is stored only for the non-negative
 frequencies of the last axis, bins 0 to N/2 (Nyquist), since the rest are
 complex conjugates.  The multiplier is even, so it maps that half spectrum
-to the half spectrum of a real field.  It is built once per (n, N, L, s) and
-kept in a small cache; so is the core box and its window per (n, N, L).
-Both cached arrays are read-only because every caller shares them.
+to the half spectrum of a real field.  It is even on every axis too, so it
+is built once per (n, N, L, s) on its mirror-distinct box, bins 0 to N/2 on
+every axis, and kept in a small cache; so is the core box and its window
+per (n, N, L).  The cached arrays are read-only because every caller shares
+them.
 
 A field is a box plus one index map per axis (`GridField`); a bubble's box
 keeps one point per distinct squared offset on each axis.  The forward
-transform expands each axis just before its own `rfftn` stage.  pocketfft
-transforms each 1-D line on its own, so the spectrum is bit for bit
-`rfftn`'s.
+transform expands each axis just before its own `rfftn` stage.  The stages
+on axes n - 1 to 1 run on blocks of `_BLOCK` rows of the box; the axis-0
+stage, the last, runs on blocks of `_BLOCK` axis-1 columns, and each block
+goes on at once to what its caller makes of it: the inverse axis-0 stage
+of a residual, or the power array of the seminorm.  So the full complex
+half spectrum is never held, and no temporary is larger than a block.
+pocketfft transforms each 1-D line on its own, so the spectrum is bit for
+bit `rfftn`'s.
 
 Residuals are reported on the core window |x| <= L/8 where periodic images
 pollute least, and only that window's bounding box is computed: the inverse
@@ -43,6 +50,10 @@ _CORE_FRACTION = 0.125
 #: numpy's pairwise float sum adds runs of up to this many values with
 #: eight accumulators and halves longer runs until they fit
 _PAIRWISE_BLOCK = 128
+#: box rows per block of the transform's stages on axes n - 1 to 1, and
+#: axis-1 columns per block of its axis-0 stage: a wider block costs memory,
+#: and 4 to 32 take about the same time at N = 128
+_BLOCK = 8
 
 
 @dataclass
@@ -186,33 +197,91 @@ def _expanded_sum(box: np.ndarray, maps):
 
 
 @functools.lru_cache(maxsize=8)
-def _half_multiplier(n: int, N: int, L: float, s: float) -> np.ndarray:
-    """|xi|^(2s) on the half spectrum that `rfftn` returns for an (N,)*n
-    grid of half-width L: full torus frequencies on the first n - 1 axes,
-    the non-negative ones (zero to Nyquist) on the last.  Cached and shared
-    between callers, so read-only."""
-    h = 2.0 * L / N
-    w = 2.0 * np.pi * np.fft.fftfreq(N, d=h)  # = (pi/L) * m
-    w_half = 2.0 * np.pi * np.fft.rfftfreq(N, d=h)
-    mult = _axis_sum([w ** 2] * (n - 1) + [w_half ** 2]) ** s
-    mult.flags.writeable = False
-    return mult
+def _mirror_multiplier(n: int, N: int, L: float, s: float):
+    """|xi|^(2s) on the half spectrum's mirror-distinct box, bins 0 to N/2
+    on every axis, and the map of a torus axis onto it, bin k to
+    min(k, N - k).  The squares of `fftfreq` are mirror-symmetric bit for
+    bit, so the box expanded by that map on the first n - 1 axes is the
+    multiplier on the half spectrum that `rfftn` returns, bit for bit.
+    Cached and shared between callers, so read-only."""
+    w = 2.0 * np.pi * np.fft.rfftfreq(N, d=2.0 * L / N)  # = (pi/L) * m
+    mult = _axis_sum([w ** 2] * n)
+    mult **= s
+    k = np.arange(N)
+    mirror = np.minimum(k, N - k)
+    mult.flags.writeable = mirror.flags.writeable = False
+    return mult, mirror
 
 
-def _rfftn(field: GridField) -> np.ndarray:
-    """Half spectrum of the field, bit for bit ``np.fft.rfftn(values)``.
+def _stage(hat: np.ndarray, d: int, out=None) -> np.ndarray:
+    """`rfftn`'s stage on axis d: `rfft` on the last axis, an `fft` on the
+    others, written to ``out`` when given (else the `fft` is in place)."""
+    return np.fft.rfft(hat, axis=d, out=out) if d == hat.ndim - 1 \
+        else np.fft.fft(hat, axis=d, out=hat if out is None else out)
 
-    The stages are `rfftn`'s, in its order: `rfft` on the last axis, then an
-    in-place `fft` on axis n - 2 down to axis 0.  Each axis with a map is
-    expanded just before its own stage, so the earlier stages transform
-    only the box's lines."""
-    hat, last = field.box, field.n - 1
-    for d in range(last, -1, -1):
-        if field.maps[d] is not None:
-            hat = np.take(hat, field.maps[d], axis=d)
-        hat = np.fft.rfft(hat, axis=d) if d == last \
-            else np.fft.fft(hat, axis=d, out=hat)
-    return hat
+
+def _inverse_stage(hat: np.ndarray, d: int, N: int, crop) -> np.ndarray:
+    """`irfftn`'s stage on axis d, `irfft` on the last axis and an in-place
+    `ifft` on the others, then axis d cropped to ``crop``."""
+    hat = np.fft.irfft(hat, N, axis=d) if d == hat.ndim - 1 \
+        else np.fft.ifft(hat, axis=d, out=hat)
+    return hat[(slice(None),) * d + (crop,)]
+
+
+def _times_multiplier(hat: np.ndarray, mult: np.ndarray) -> None:
+    """hat *= mult expanded on axis 0 by the mirror map, without expanding
+    it: rows 0 to N/2 take its rows as they are, rows N/2 + 1 to N - 1 its
+    rows N/2 - 1 down to 1 (none when axis 0 is the half axis, n = 1)."""
+    h = mult.shape[0]
+    hat[:h] *= mult
+    hat[h:] *= mult[len(hat) - h:0:-1]
+
+
+def _leading_stages(field: GridField) -> np.ndarray:
+    """The box after `rfftn`'s stages on axes n - 1 down to 1, in its order:
+    `rfft` on the last axis, then an `fft` on each other one, each axis with
+    a map expanded just before its own stage (for n = 1, the box itself).
+    The stages run on one block of `_BLOCK` axis-0 rows at a time, so their
+    temporaries stay the size of a block."""
+    n, N = field.n, field.N
+    if n == 1:
+        return field.box
+    out = np.empty((len(field.box),) + (N,) * (n - 2) + (N // 2 + 1,),
+                   complex)
+    for i in range(0, len(field.box), _BLOCK):
+        rows = field.box[i:i + _BLOCK]
+        for d in range(n - 1, 0, -1):
+            if field.maps[d] is not None:
+                rows = np.take(rows, field.maps[d], axis=d)
+            rows = _stage(rows, d, out[i:i + _BLOCK] if d == 1 else None)
+    return out
+
+
+def _by_column_blocks(field: GridField, s: float, finish) -> np.ndarray:
+    """``finish(hat, mult)`` on each block of `_BLOCK` axis-1 columns of the
+    field's half spectrum (all of it when n = 1), put together along axis 1.
+
+    hat is the block of ``np.fft.rfftn(field.values)``, bit for bit and
+    free to overwrite, and mult the multiplier's box on its columns, for
+    `_times_multiplier`.  The block is `_leading_stages`' columns, expanded
+    on axis 0 and put through `rfftn`'s last stage there, so neither the
+    full half spectrum nor a stage's temporaries of that size are held."""
+    hat, last = _leading_stages(field), field.n - 1
+    mult, mirror = _mirror_multiplier(field.n, field.N, field.L, s)
+    first = np.arange(field.N) if field.maps[0] is None else field.maps[0]
+    out = None
+    for j in range(0, hat.shape[1] if last else 1, _BLOCK):
+        cols = (slice(None), slice(j, j + _BLOCK))[:field.n]
+        # axis 1 of the multiplier's box is mirrored in 3-D and is the half
+        # axis in 2-D
+        part = finish(_stage(hat[(first,) + cols[1:]], 0),
+                      np.take(mult, mirror[cols[1]], axis=1) if last > 1
+                      else mult[cols])
+        if out is None:
+            out = np.empty(part.shape[:1] + hat.shape[1:], part.dtype)
+        out[cols] = part
+        del part  # may be a view of its block: free that before the next
+    return out
 
 
 def _frac_laplacian_on(field: GridField, s: float, box) -> np.ndarray:
@@ -220,12 +289,16 @@ def _frac_laplacian_on(field: GridField, s: float, box) -> np.ndarray:
 
     The stages are `irfftn`'s, in its order, so the values are bit for bit
     its values there: an in-place `ifft` on each leading axis, each followed
-    by cropping that axis to its slice, then `irfft` on the last axis."""
-    hat = _rfftn(field)
-    hat *= _half_multiplier(field.n, field.N, field.L, s)
-    for d in range(field.n - 1):
-        hat = np.fft.ifft(hat, axis=d, out=hat)[(slice(None),) * d + (box[d],)]
-    return np.fft.irfft(hat, field.N, axis=field.n - 1)[..., box[-1]]
+    by cropping that axis to its slice, then `irfft` on the last axis.  The
+    axis-0 stage runs on each column block as the forward one leaves it."""
+    def finish(hat, mult):
+        _times_multiplier(hat, mult)
+        return _inverse_stage(hat, 0, field.N, box[0])
+
+    hat = _by_column_blocks(field, s, finish)
+    for d in range(1, field.n):
+        hat = _inverse_stage(hat, d, field.N, box[d])
+    return hat
 
 
 def _check_order(s: float) -> None:
@@ -247,9 +320,14 @@ def frac_laplacian(field: GridField, s: float) -> GridField:
 def seminorm(field: GridField, s: float) -> float:
     """Discrete Gagliardo-type seminorm sum |xi|^(2s) |u_hat|^2 (h^n/N^n)."""
     _check_order(s)
-    power = np.abs(_rfftn(field))
-    power **= 2
-    power *= _half_multiplier(field.n, field.N, field.L, s)
+
+    def finish(hat, mult):
+        power = np.abs(hat)
+        power **= 2
+        _times_multiplier(power, mult)
+        return power
+
+    power = _by_column_blocks(field, s, finish)
     scale = field.h ** field.n / field.N ** field.n
     # the half spectrum keeps bins 0..N/2 of the last axis; bins 1..N/2-1
     # also stand for their conjugate mirror images, so they count twice

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from critsys.bubbles import (BubbleSpec, bubble_critical_norm, bubble_eval,
-                             bubble_field, normalized_bubble_field,
-                             rayleigh_quotient,
+                             bubble_field, ground_state_amplitude,
+                             normalized_bubble_field, rayleigh_quotient,
                              residual_study, shape_integral,
                              sobolev_constant_closed_form,
                              sobolev_constant_spectral)
-from critsys.errors import DomainError, ResolutionError
+from critsys.errors import DomainError, NumericalError, ResolutionError
 from critsys.params import make_params
 from critsys.spectral import integrate
 
@@ -137,6 +137,23 @@ def test_closed_form_positive_and_finite_across_s():
 def test_closed_form_low_dimension():
     v = sobolev_constant_closed_form(P1).value
     assert 0.0 < v < math.inf
+
+
+def test_closed_forms_past_the_gamma_range_are_numerical_errors():
+    # Gamma(n) leaves the float range above n = 171: each closed form
+    # raises the error the CLI reports, not a bare OverflowError
+    p = make_params(200, 0.5, 200.0 / 199.0, 1.0, 1.0, 0.0)
+    spec = BubbleSpec(1.0, (0.0,) * p.n)
+    for call in (lambda: shape_integral(p.n),
+                 lambda: sobolev_constant_closed_form(p),
+                 lambda: ground_state_amplitude(p, spec, 1.0),
+                 lambda: bubble_critical_norm(spec, p)):
+        with pytest.raises(NumericalError) as info:
+            call()
+        assert (info.value.constraint, info.value.value) == ("overflow", 200)
+    p171 = make_params(171, 0.5, 171.0 / 170.0, 1.0, 1.0, 0.0)
+    assert 0.0 < sobolev_constant_closed_form(p171).value < math.inf
+    assert 0.0 < shape_integral(171) < math.inf
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from critsys import spectral
-from critsys.bubbles import (BubbleSpec, bubble_field, normalized_bubble_field,
-                             rayleigh_quotient, sobolev_constant_closed_form)
+from critsys.bubbles import (BubbleSpec, _distinct_bubble, bubble_field,
+                             normalized_bubble_field, rayleigh_quotient,
+                             sobolev_constant_closed_form)
 from critsys.errors import DomainError, ResolutionError
 from critsys.params import make_params
 from critsys.spectral import (GridField, dump_field, frac_laplacian,
@@ -142,49 +143,69 @@ def test_real_transforms_match_complex_reference(n, s):
         assert abs(seminorm(g, s) - norm) <= 1e-14 * norm
 
 
+#: one admissible (n, s) per dimension, for sampling bubbles
+BUBBLE_PARAMS = {1: make_params(1, 0.4, 5.0, 1.0, 1.0, 8.0),
+                 2: make_params(2, 0.3, 1.2, 1.0, 1.0, 0.0), 3: P3}
+
+
+def half_multiplier(n, N, L, s):
+    """The cached multiplier expanded onto the half spectrum that `rfftn`
+    returns for an (N,)*n grid."""
+    mult, mirror = spectral._mirror_multiplier(n, N, L, s)
+    return spectral._expand(mult, (mirror,) * (n - 1) + (None,))
+
+
+def random_and_bubble_fields(rng, n, N, L):
+    """A random grid field and a bubble whose box reduces every axis, the
+    first one too, so that the first-axis stage expands it block by block."""
+    bubble = bubble_field(BubbleSpec(rng.uniform(0.5, 2.0), (0.0,) * n),
+                          BUBBLE_PARAMS[n], N, L)
+    assert bubble.maps[0] is not None and len(bubble.maps[0]) == N
+    return [GridField(n, N, L, rng.standard_normal(N ** n)), bubble]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_transform_on_a_box_is_numpys_out_of_place_transform(n):
-    # bit for bit: the in-place stages and the cropping after each stage
-    # change which values are computed, not how
+    # bit for bit: the in-place stages, the blocks of box rows and of
+    # axis-1 columns and the cropping after each stage change which values
+    # are computed, not how.  At N = 128 a bubble's 65 box rows and, in 2-D,
+    # its 65 columns end in a block of one
     rng = np.random.default_rng(40 + n)
-    N, L, s = 32, 6.0, 0.37
-    g = GridField(n, N, L, rng.standard_normal(N ** n))
-    mult = spectral._half_multiplier(n, N, L, s)
-    full = np.fft.irfftn(np.fft.rfftn(g.values) * mult, s=g.values.shape,
-                         axes=range(n))
-    core, _ = spectral._core_box(n, N, L)
-    off_centre = (slice(2, 9), slice(20, 32), slice(0, 5))[:n]
-    for box in (core, off_centre):
-        assert np.array_equal(spectral._frac_laplacian_on(g, s, box),
-                              full[box])
+    L, s = 6.0, 0.37
+    for N in (32, 128):
+        core, _ = spectral._core_box(n, N, L)
+        off_centre = (slice(2, 9), slice(20, 32), slice(0, 5))[:n]
+        mult = half_multiplier(n, N, L, s)
+        for g in random_and_bubble_fields(rng, n, N, L):
+            full = np.fft.irfftn(np.fft.rfftn(g.values) * mult,
+                                 s=g.values.shape, axes=range(n))
+            for box in (core, off_centre):
+                assert np.array_equal(spectral._frac_laplacian_on(g, s, box),
+                                      full[box])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_laplacian_and_seminorm_are_numpys_out_of_place_calls(n):
     rng = np.random.default_rng(50 + n)
-    for N in (8, 32):
-        g = GridField(n, N, rng.uniform(0.5, 20.0), rng.standard_normal(N ** n))
-        s = rng.uniform(0.05, 1.0)
-        mult = spectral._half_multiplier(n, N, g.L, s)
-        hat = np.fft.rfftn(g.values)
-        assert np.array_equal(frac_laplacian(g, s).values,
-                              np.fft.irfftn(hat * mult, s=g.values.shape,
-                                            axes=range(n)))
-        power = mult * np.abs(hat) ** 2
-        assert seminorm(g, s) == g.h ** n / N ** n * float(
-            np.sum(power) + np.sum(power[..., 1:-1]))
-
-
-#: one admissible (n, s) per dimension, for sampling bubbles
-BUBBLE_PARAMS = {1: make_params(1, 0.4, 5.0, 1.0, 1.0, 8.0),
-                 2: make_params(2, 0.3, 1.2, 1.0, 1.0, 0.0), 3: P3}
+    for N in (8, 32, 128):
+        L, s = rng.uniform(0.5, 20.0), rng.uniform(0.05, 1.0)
+        mult = half_multiplier(n, N, L, s)
+        for g in random_and_bubble_fields(rng, n, N, L):
+            hat = np.fft.rfftn(g.values)
+            assert np.array_equal(frac_laplacian(g, s).values,
+                                  np.fft.irfftn(hat * mult, s=g.values.shape,
+                                                axes=range(n)))
+            power = mult * np.abs(hat) ** 2
+            assert seminorm(g, s) == g.h ** n / N ** n * float(
+                np.sum(power) + np.sum(power[..., 1:-1]))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_box_transform_is_numpys_rfftn_bit_for_bit(n):
     # each axis is expanded just before its own stage, so the early stages
     # transform the box's lines; the spectrum must not move by one bit.
-    # The off-centre bubble's first-axis map is not a mirror
+    # The off-centre bubble's first-axis map is not a mirror, and
+    # `perturb`'s sampler keeps the first axis whole
     rng = np.random.default_rng(60 + n)
     for N in (8, 64, 128):
         L = rng.uniform(2.0, 30.0)
@@ -193,24 +214,73 @@ def test_box_transform_is_numpys_rfftn_bit_for_bit(n):
             spec = BubbleSpec(rng.uniform(0.5, 2.0), center)
             fields.append(bubble_field(spec, BUBBLE_PARAMS[n], N, L))
             assert all(m is not None for m in fields[-1].maps)
+        fields.append(_distinct_bubble(spec, BUBBLE_PARAMS[n], N, L))
+        assert fields[-1].maps[0] is None
         for g in fields:
             want = np.fft.rfftn(g.values)
-            assert np.array_equal(spectral._rfftn(g).view(np.uint64),
-                                  want.view(np.uint64))
+            got = spectral._by_column_blocks(g, 0.5, lambda hat, mult: hat)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_mirror_multiplier_expands_to_the_torus_multiplier(n):
+    # |xi|^(2s) from the full torus frequencies on the first n - 1 axes,
+    # bit for bit: fftfreq's squares are mirror-symmetric
+    rng = np.random.default_rng(70 + n)
+    for N in (2, 4, 8, 64, 128):
+        L, s = float(10.0 ** rng.uniform(-3.0, 3.0)), rng.uniform(0.05, 1.0)
+        h = 2.0 * L / N
+        w = 2.0 * np.pi * np.fft.fftfreq(N, d=h)
+        w_half = 2.0 * np.pi * np.fft.rfftfreq(N, d=h)
+        want = sum(np.ix_(*[w ** 2] * (n - 1) + [w_half ** 2])) ** s
+        got = half_multiplier(n, N, L, s)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_cached_multiplier_and_window_are_read_only_and_keyed():
-    mult = spectral._half_multiplier(2, 8, 3.0, 0.5)
-    assert mult.shape == (8, 5)  # bins 0..N/2 on the last axis
-    assert spectral._half_multiplier(2, 8, 3.0, 0.5) is mult
-    for other in (spectral._half_multiplier(2, 8, 4.0, 0.5),
-                  spectral._half_multiplier(2, 8, 3.0, 0.6)):
+    mult, mirror = spectral._mirror_multiplier(2, 8, 3.0, 0.5)
+    assert mult.shape == (5, 5)  # bins 0..N/2 on every axis
+    assert half_multiplier(2, 8, 3.0, 0.5).shape == (8, 5)
+    assert list(mirror) == [0, 1, 2, 3, 4, 3, 2, 1]
+    assert spectral._mirror_multiplier(2, 8, 3.0, 0.5)[0] is mult
+    for other in (spectral._mirror_multiplier(2, 8, 4.0, 0.5)[0],
+                  spectral._mirror_multiplier(2, 8, 3.0, 0.6)[0]):
         assert not np.array_equal(other, mult)
     with pytest.raises(ValueError):
         mult[1, 1] = 0.0
+    with pytest.raises(ValueError):
+        mirror[1] = 0
     _, win = spectral._core_box(2, 8, 3.0)
     with pytest.raises(ValueError):
         win[0, 0] = True
+
+
+def test_transforms_never_hold_a_full_half_spectrum():
+    # with the caches warm, a residual on a 128^3 bubble peaks below one
+    # complex half spectrum, 16 N^2 (N/2 + 1) bytes, which a first-axis
+    # stage on the whole array held on its own; the seminorm also holds its
+    # real power array, 8 N^2 (N/2 + 1) bytes, which numpy's pairwise sum
+    # takes whole
+    import tracemalloc
+
+    from critsys.algebraic import find_k0_l0
+
+    N = 128
+    U = small_bubble_grid(N=N, L=30.0)
+    sol = find_k0_l0(P3)
+    half = 16 * N * N * (N // 2 + 1)
+    for call, bound in ((lambda: pde_residual_single(P3, U), half),
+                        (lambda: pde_residual_system(P3, sol.k, sol.l, U),
+                         half),
+                        (lambda: seminorm(U, P3.s), half + half // 2)):
+        call()
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
 
 def test_s_out_of_range():
