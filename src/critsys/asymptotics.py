@@ -19,12 +19,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import algebraic, regimes
-from .bubbles import (BubbleSpec, _distinct_bubble, ground_state_amplitude,
+from .bubbles import (BubbleSpec, _profile, ground_state_amplitude,
                       sobolev_constant_closed_form)
 from .errors import (DivergenceError, DomainError, NumericalError,
                      QuadratureError, ResolutionError)
 from .params import SystemParams
-from .spectral import _expanded_sum
+from .spectral import (_block_sums, _finite, _pairwise,
+                       _radius_sq_terms, _row_blocks)
 
 #: conservative rejection threshold for the overlap ratio
 THETA_MAX = 0.1
@@ -107,32 +108,49 @@ def _theta_on_box(params: SystemParams, R: float, quad: OverlapQuadrature,
     """theta on the box [-L, L)^n for the ground states of strengths mu1
     and mu2 centred at +R/2 and -R/2 on the e1 axis, plus ``shift``.
 
-    Both bubbles share their offsets on every axis but e1, so every power
-    and the product are formed on their common distinct-offset box, and
-    the two sums are taken from it in the full grid's order."""
+    The bubbles share their offsets on every axis but e1, kept whole, so
+    each row block of `spectral._row_blocks` samples both on its rows alone
+    and keeps only the block sums of the powers and the product; the
+    pairwise tree then runs once over them, so both sums are the full
+    grid's bit for bit, and no array larger than a row block is held."""
     a, b, ts = params.alpha, params.beta, params.two_star
+    n, N = params.n, quad.N
     S = sobolev_constant_closed_form(params).value
     amp = ground_state_amplitude(params, BubbleSpec(quad.eps, (0.0,)), S)
-    shift = (0.0,) * params.n if shift is None else tuple(shift)
+    shift = (0.0,) * n if shift is None else tuple(shift)
 
-    def w(sign, mu):
+    def bubble(sign, mu):
+        """A sampler of the bubble's box on axis-0 rows, and its maps."""
         center = tuple((sign * R / 2.0 if d == 0 else 0.0) + shift[d]
-                       for d in range(params.n))
+                       for d in range(n))
         kappa = mu ** (-1.0 / (ts - 2.0)) * amp  # amp is center-free
         if kappa == 0.0:
             raise NumericalError("bubble amplitude underflows to 0",
                                  constraint="kappa", value=(mu, amp))
-        return _distinct_bubble(BubbleSpec(quad.eps, center, kappa), params,
-                                quad.N, L)
+        spec = BubbleSpec(quad.eps, center, kappa)
+        terms, maps = _radius_sq_terms(n, N, L, center)
+        return lambda rows: _finite(_profile(
+            spec, params, [terms[0][maps[0][rows]]] + terms[1:])), maps
 
-    w1, w2 = w(1.0, params.mu1), w(-1.0, params.mu2)
-    hn = w1.h ** params.n
-    overlap = w1.box ** a
-    w2.box **= b
-    overlap *= w2.box
-    num = hn * float(_expanded_sum(overlap, w1.maps))
-    w1.box **= ts
-    den = hn * params.mu1 * float(_expanded_sum(w1.box, w1.maps))
+    w1, maps = bubble(1.0, params.mu1)
+    try:
+        w2, _ = bubble(-1.0, params.mu2)
+    except NumericalError:
+        for rows in _row_blocks(n, N):  # all of w1 is checked finite first
+            w1(rows)
+        raise
+    maps = (None,) + maps[1:]  # the two bubbles share them
+    num, den = [], []
+    for rows in _row_blocks(n, N):
+        u, v = w1(rows), w2(rows)
+        v **= b
+        v *= u ** a
+        num.append(_block_sums(v, maps, N))
+        u **= ts
+        den.append(_block_sums(u, maps, N))
+    hn = (2.0 * L / N) ** n
+    num = hn * float(_pairwise(np.concatenate(num)))
+    den = hn * params.mu1 * float(_pairwise(np.concatenate(den)))
     if not den > 0.0:
         raise ResolutionError("critical integral underflows on this grid",
                               constraint="critical_norm", value=den)

@@ -28,8 +28,9 @@ import numpy as np
 
 from .errors import DomainError, NumericalError, ResolutionError
 from .params import SystemParams
-from .spectral import (GridField, _check_grid, _distinct_radius_sq, integrate,
-                       pde_residual_single, seminorm)
+from . import spectral
+from .spectral import (GridField, _check_grid, integrate, pde_residual_single,
+                       seminorm)
 
 #: bubble scale relative to the box half-width when not given explicitly
 DEFAULT_EPS_FRACTION = 1.0 / 30.0
@@ -78,22 +79,19 @@ def bubble_eval(spec: BubbleSpec, params: SystemParams, x):
 def bubble_field(spec: BubbleSpec, params: SystemParams, N: int,
                  L: float) -> GridField:
     """Sample the bubble on the grid of [-L, L)^n, held as its
-    distinct-offset box with every axis reduced, the first one too."""
-    return _distinct_bubble(spec, params, N, L, whole_first=False)
+    distinct-offset box (see `spectral._radius_sq_terms`)."""
+    terms, maps = spectral._radius_sq_terms(params.n, N, L, spec.center)
+    return GridField(params.n, N, L, _profile(spec, params, terms), maps)
 
 
-def _distinct_bubble(spec: BubbleSpec, params: SystemParams, N: int,
-                     L: float, whole_first: bool = True) -> GridField:
-    """The bubble on the grid of [-L, L)^n, held as its distinct-offset box
-    (see `spectral._distinct_radius_sq` for ``whole_first``; `perturb`'s
-    pair of bubbles keeps the first axis whole)."""
-    decay = 0.5 * (params.n - 2.0 * params.s)
-    values, maps = _distinct_radius_sq(params.n, N, L, spec.center,
-                                       whole_first)
-    values += spec.epsilon ** 2
-    values **= -decay
-    values *= spec.kappa
-    return GridField(params.n, N, L, values, maps)
+def _profile(spec: BubbleSpec, params: SystemParams, terms) -> np.ndarray:
+    """The bubble where |x - y|^2 is `spectral._axis_sum` of the 1-D
+    ``terms``, in a new array when the first term is one."""
+    r2 = spectral._axis_sum(terms)
+    r2 += spec.epsilon ** 2
+    r2 **= -0.5 * (params.n - 2.0 * params.s)
+    r2 *= spec.kappa
+    return r2
 
 
 def _gamma_overflow(n: int) -> NumericalError:

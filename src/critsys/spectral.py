@@ -50,9 +50,10 @@ _CORE_FRACTION = 0.125
 #: numpy's pairwise float sum adds runs of up to this many values with
 #: eight accumulators and halves longer runs until they fit
 _PAIRWISE_BLOCK = 128
-#: box rows per block of the transform's stages on axes n - 1 to 1, and
-#: axis-1 columns per block of its axis-0 stage: a wider block costs memory,
-#: and 4 to 32 take about the same time at N = 128
+#: box rows per block of the transform's stages on axes n - 1 to 1 and of
+#: the overlap quadrature, and axis-1 columns per block of the transform's
+#: axis-0 stage: a wider block costs memory, and 4 to 32 take about the
+#: same time at N = 128
 _BLOCK = 8
 
 
@@ -103,7 +104,8 @@ class GridField:
 
 def integrate(field: GridField) -> float:
     """Torus quadrature h^n * sum(values), summed from the box."""
-    return field.h ** field.n * float(_expanded_sum(field.box, field.maps))
+    return field.h ** field.n * float(
+        _pairwise(_block_sums(field.box, field.maps, field.N)))
 
 
 def _finite(values: np.ndarray) -> np.ndarray:
@@ -142,26 +144,20 @@ def _axis_sum(terms) -> np.ndarray:
     return functools.reduce(np.add, np.ix_(*terms))
 
 
-def _distinct_radius_sq(n: int, N: int, L: float, center,
-                        whole_first: bool = True):
-    """|x - center|^2 on the distinct-offset box of the (N,)*n grid, checked
-    first, and the index maps that `_expand` takes it to the grid with.
+def _radius_sq_terms(n: int, N: int, L: float, center):
+    """The per-axis terms (x_i - center_d)^2 of |x - center|^2 on the
+    distinct-offset box of the (N,)*n grid, checked first, and the index
+    maps that `_expand` takes that box to the grid with.
 
-    Every axis keeps one point per distinct float (x_i - center_d)^2 (N/2 + 1
-    on a mirror-symmetric axis), but the first keeps its N points when
-    ``whole_first`` (its map is then None).  Each box value is bit for bit
-    the grid values it stands for, so an elementwise step on the box, then
-    `_expand`, gives the grid's values."""
+    Every axis keeps one point per distinct float square (N/2 + 1 on a
+    mirror-symmetric axis).  `_axis_sum` of the terms, or of their rows,
+    gives each box value bit for bit as the grid values it stands for, so an
+    elementwise step on the box, then `_expand`, gives the grid's values."""
     _check_grid(n, N, L)
     x = _axis(N, L)
-    terms, maps = [], []
-    for d in range(n):
-        sq = (x - center[d]) ** 2
-        values, index = (sq, None) if d == 0 and whole_first \
-            else np.unique(sq, return_inverse=True)
-        terms.append(values)
-        maps.append(index)
-    return _axis_sum(terms), maps
+    terms, maps = zip(*(np.unique((x - center[d]) ** 2, return_inverse=True)
+                        for d in range(n)))
+    return list(terms), maps
 
 
 def _expand(box: np.ndarray, maps) -> np.ndarray:
@@ -173,24 +169,39 @@ def _expand(box: np.ndarray, maps) -> np.ndarray:
     return box
 
 
-def _expanded_sum(box: np.ndarray, maps):
-    """``np.sum(_expand(box, maps))`` bit for bit, without the full grid.
+def _row_blocks(n: int, N: int) -> list[slice]:
+    """`_BLOCK` axis-0 rows of the (N,)*n grid each, or the whole axis when
+    a 128-value block of `_block_sums` spans more than one row."""
+    step = _BLOCK if N ** (n - 1) >= _PAIRWISE_BLOCK else N
+    return [slice(i, i + step) for i in range(0, N, step)]
+
+
+def _block_sums(rows: np.ndarray, maps, N: int) -> np.ndarray:
+    """The sums of the 128-value blocks (all values, if fewer) of the
+    (N,)*n grid that the box ``rows`` stands for, in grid order: the whole
+    box, or with axis 0 whole (maps[0] None), a range of `_row_blocks`.
 
     numpy sums a contiguous float64 array of N^n > 128 values (a power of
     two) as a perfect binary tree over blocks of 128 consecutive values,
     each summed on its own.  So only the trailing axes one block spans are
-    expanded; the block sums are taken along the last axis, their leading
-    axes are expanded, and adjacent pairs are added until one is left."""
-    n, N = box.ndim, box.shape[0]
-    if N ** n <= _PAIRWISE_BLOCK:
-        return np.sum(_expand(box, maps))
+    expanded; the block sums are taken along the last axis and their
+    leading axes expanded.  `_pairwise` adds them up the tree."""
+    n = rows.ndim
     lead = n - 1  # axes lead, ..., n - 1 are those a block spans
-    while N ** (n - lead) < _PAIRWISE_BLOCK:
+    while lead and N ** (n - lead) < _PAIRWISE_BLOCK:
         lead -= 1
-    box = _expand(box, (None,) * lead + tuple(maps[lead:]))
-    sums = np.sum(box.reshape(box.shape[:lead] + (-1, _PAIRWISE_BLOCK)),
+    rows = _expand(rows, (None,) * lead + tuple(maps[lead:]))
+    sums = np.sum(rows.reshape(rows.shape[:lead]
+                               + (-1, min(_PAIRWISE_BLOCK, rows.size))),
                   axis=-1)
-    sums = _expand(sums, maps[:lead]).ravel()
+    return _expand(sums, maps[:lead])
+
+
+def _pairwise(sums: np.ndarray):
+    """Adjacent pairs of the block sums added until one is left, so that
+    ``_pairwise(_block_sums(box, maps, N))`` is ``np.sum(_expand(box,
+    maps))`` bit for bit, without the full grid."""
+    sums = sums.ravel()
     while sums.size > 1:
         sums = sums[0::2] + sums[1::2]
     return sums[0]

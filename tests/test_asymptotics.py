@@ -1,5 +1,6 @@
 import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -106,10 +107,19 @@ def full_grid_bubble(spec, params, N, L):
     (3, 64, 10.0, 7.7, (0.0, 0.0, 0.0)),
     (3, 128, 10.0, None, (0.0, 0.0, 0.0)),
     (3, 128, 12.0, 10.3, (1.7, -0.9, 0.4)),
+    (3, 4, 2.0, 3.1, (0.0, 0.0, 0.0)),
+    (3, 8, 3.0, None, (0.2, -0.4, 0.0)),
+    (3, 32, 8.0, None, (0.0, 0.0, 0.0)),
+    (1, 256, 12.0, 10.3, (0.0,)),
+    (2, 64, 6.0, None, (0.3, 0.0)),
 ])
 def test_theta_matches_full_grid_reference(n, N, R, L, shift):
     # L = 10.3 and 7.7 have non-dyadic spacings, where some mirrored grid
-    # points square to different floats; L = None is the automatic box
+    # points square to different floats; L = None is the automatic box.
+    # The box is summed in blocks of axis-0 rows: in 3-D, N = 4 and 8 have
+    # an axis no longer than one block, and at N = 32 one 128-value block
+    # spans axes 1 and 2; at N = 256 in 1-D and N = 64 in 2-D one spans
+    # several rows, so the whole axis is one row block
     p = make_params(n, 0.2 if n == 1 else 0.5, 1.2 if n == 1 else 1.5,
                     0.8, 1.7, -0.6)
     quad = OverlapQuadrature(N=N, eps=1.0, check_tails=False)
@@ -119,6 +129,62 @@ def test_theta_matches_full_grid_reference(n, N, R, L, shift):
     spec = BubbleSpec(quad.eps, shift, 1.3)
     assert np.array_equal(bubble_field(spec, p, N, L).values,
                           full_grid_bubble(spec, p, N, L))
+
+
+def test_theta_with_tails_matches_full_grid_reference(monkeypatch):
+    # overlap_theta with the tails check on sums both boxes, L and 2L, by
+    # the row-block stream, each bit for bit the full grid's theta
+    p = make_params(3, 0.5, 1.5, 0.8, 1.7, -0.6)
+    quad = OverlapQuadrature(N=64, eps=1.0)
+    R, shift = 10.0, (0.3, -0.2, 0.1)
+    boxes = []
+
+    def recorded(params, R, quad, L, shift):
+        boxes.append((L, theta_on_box(params, R, quad, L, shift)))
+        return boxes[-1][1]
+
+    theta_on_box = asymptotics._theta_on_box
+    monkeypatch.setattr(asymptotics, "_theta_on_box", recorded)
+    theta = overlap_theta(p, R, quad, shift).theta
+    L = R / 2.0 + asymptotics.MARGIN_FACTOR * quad.eps
+    assert [box for box, _ in boxes] == [L, 2.0 * L]
+    assert theta == boxes[0][1]
+    for L, got in boxes:
+        assert got.hex() == full_grid_theta(p, R, quad, L, shift).hex()
+
+
+def test_theta_checks_the_first_bubble_before_the_second_amplitude():
+    # eps^2 underflows, so the first bubble is infinite at its centre, a
+    # grid point; mu2^(-1/(2*-2)) underflows too.  Sampled on the whole box,
+    # the first bubble failed its finite check before the second's
+    # amplitude was formed; the row-block stream keeps that order.  The
+    # powers overflow on the way, as the CLI allows
+    p = make_params(3, 0.01, 1.005, 1.0, 1e5, -1.0)
+    quad = OverlapQuadrature(N=16, eps=1e-170, check_tails=False)
+    with np.errstate(all="ignore"), pytest.raises(DomainError) as err:
+        overlap_theta(p, 0.0, quad)
+    assert err.value.constraint == "finite"
+    with pytest.raises(NumericalError) as err:  # a finite first bubble
+        overlap_theta(p, 0.0, replace(quad, eps=1e-3))
+    assert err.value.constraint == "kappa"
+
+
+def test_theta_never_holds_a_full_box():
+    # with the caches warm, theta at N = 128 in 3-D, the tails check on,
+    # peaks below one (N, N/2 + 1, N/2 + 1) float64 box, the size of each
+    # bubble's samples when both were formed on the whole box
+    import tracemalloc
+
+    N = 128
+    quad = OverlapQuadrature(N=N, eps=1.0)
+    overlap_theta(P_NEG, 10.0, quad)
+    tracemalloc.start()
+    try:
+        overlap_theta(P_NEG, 10.0, quad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * N * (N // 2 + 1) ** 2
 
 
 def test_theta_reference_cases_keep_mirrored_squares_apart():

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from critsys import spectral
-from critsys.bubbles import (BubbleSpec, _distinct_bubble, bubble_field,
-                             normalized_bubble_field, rayleigh_quotient,
-                             sobolev_constant_closed_form)
+from critsys.bubbles import (BubbleSpec, bubble_field, normalized_bubble_field,
+                             rayleigh_quotient, sobolev_constant_closed_form)
 from critsys.errors import DomainError, ResolutionError
 from critsys.params import make_params
 from critsys.spectral import (GridField, dump_field, frac_laplacian,
@@ -204,8 +203,8 @@ def test_laplacian_and_seminorm_are_numpys_out_of_place_calls(n):
 def test_box_transform_is_numpys_rfftn_bit_for_bit(n):
     # each axis is expanded just before its own stage, so the early stages
     # transform the box's lines; the spectrum must not move by one bit.
-    # The off-centre bubble's first-axis map is not a mirror, and
-    # `perturb`'s sampler keeps the first axis whole
+    # The off-centre bubble's first-axis map is not a mirror, and a box
+    # may keep its first axis whole (map None)
     rng = np.random.default_rng(60 + n)
     for N in (8, 64, 128):
         L = rng.uniform(2.0, 30.0)
@@ -214,8 +213,9 @@ def test_box_transform_is_numpys_rfftn_bit_for_bit(n):
             spec = BubbleSpec(rng.uniform(0.5, 2.0), center)
             fields.append(bubble_field(spec, BUBBLE_PARAMS[n], N, L))
             assert all(m is not None for m in fields[-1].maps)
-        fields.append(_distinct_bubble(spec, BUBBLE_PARAMS[n], N, L))
-        assert fields[-1].maps[0] is None
+        g = fields[-1]  # the same bubble with its first axis expanded
+        fields.append(GridField(n, N, L, spectral._expand(g.box, g.maps[:1]),
+                                (None,) + g.maps[1:]))
         for g in fields:
             want = np.fft.rfftn(g.values)
             got = spectral._by_column_blocks(g, 0.5, lambda hat, mult: hat)
@@ -480,10 +480,18 @@ def test_sum_from_the_box_is_numpys_sum_of_the_grid(n):
     for N in (2, 4, 8, 16, 32, 64, 128):
         for L in (8.0, 10.3):
             for center in ((0.0,) * n, tuple(rng.uniform(-1.0, 1.0, n))):
-                box, maps = spectral._distinct_radius_sq(n, N, L, center)
-                values = rng.lognormal(0.0, 3.0, box.shape)
+                terms, maps = spectral._radius_sq_terms(n, N, L, center)
+                values = rng.lognormal(0.0, 3.0, [len(t) for t in terms])
                 want = np.sum(spectral._expand(values, maps))
-                got = spectral._expanded_sum(values, maps)
+                got = spectral._pairwise(
+                    spectral._block_sums(values, maps, N))
+                assert got.hex() == want.hex()
+                # the first axis kept whole and summed in row blocks
+                values = spectral._expand(values, maps[:1])
+                maps = (None,) + maps[1:]
+                got = spectral._pairwise(np.concatenate([
+                    spectral._block_sums(values[rows], maps, N)
+                    for rows in spectral._row_blocks(n, N)]))
                 assert got.hex() == want.hex()
 
 
