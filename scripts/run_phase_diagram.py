@@ -7,6 +7,7 @@ Usage: python scripts/run_phase_diagram.py [out.csv]
 """
 
 import json
+import os
 import sys
 import tempfile
 
@@ -20,10 +21,11 @@ def run(out_path: str) -> None:
         "axes": {"gamma": gammas, "alpha": alphas},
         "fixed": {"n": 3, "s": 0.5, "mu1": 1.0, "mu2": 1.0},
     }
-    with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
-        json.dump(grid, fh)
-        grid_path = fh.name
-    code = cli_main(["sweep", "--grid", grid_path, "--out", out_path])
+    with tempfile.TemporaryDirectory() as tmp:
+        grid_path = os.path.join(tmp, "grid.json")
+        with open(grid_path, "w") as fh:
+            json.dump(grid, fh)
+        code = cli_main(["sweep", "--grid", grid_path, "--out", out_path])
     if code != 0:
         raise SystemExit(code)
     print(f"wrote {len(gammas) * len(alphas)} rows to {out_path}")

@@ -80,12 +80,9 @@ def _powp(x, p):
 
 
 def _pow(log_x, *exponents):
-    """exp(p log x) for each exponent p, with x**0 = 1 also at x = 0; each
-    p is a float, or an array of them, one per x."""
-    if isinstance(exponents[0], np.ndarray):
-        return [np.where(p == 0.0, 1.0, np.exp(p * log_x)) for p in exponents]
-    return [np.exp(p * log_x) if p != 0.0 else np.ones_like(log_x)
-            for p in exponents]
+    """exp(p log x) for each exponent p, a float or one per x, with x**0 = 1
+    also at x = 0, where the caller silences the nan of 0 * log x."""
+    return [np.where(p == 0.0, 1.0, np.exp(p * log_x)) for p in exponents]
 
 
 def _stack(points) -> SystemParams:
@@ -581,8 +578,8 @@ def _newton(params, k, l, tol, max_iter=_POLISH_STEPS):
 
     An iteration costs a fixed few dozen numpy calls whatever the number
     of points: `_system`'s tables are formed once, every point's (2, 2)
-    system is solved in one call, and the damping and stopping rules are
-    applied only on an iteration where a live point needs them."""
+    system is solved in one call, and the damping and stopping rules run
+    on all points together."""
     x = np.array((k, l), dtype=float)
     live = ~(x <= 0.0).any(axis=0)
     converged = np.zeros_like(live)
@@ -608,24 +605,20 @@ def _newton(params, k, l, tol, max_iter=_POLISH_STEPS):
                     step[:, j] = np.linalg.solve(J[j], f[:, j])
                 except np.linalg.LinAlgError:
                     live[j] = False
+        # a live point that leaves k, l > 0 has its step halved and stops if
+        # it still leaves; one with a non-finite iterate stops after moving
         x1 = x - step
-        kept = np.where(live, x1, 1.0)
-        if not (kept.min() > 0.0 and kept.max() < math.inf):
-            # a live point leaves k, l > 0 (then its step is halved) or
-            # reaches a non-finite iterate (then it stops after moving)
+        out = (x1 <= 0.0).any(axis=0)
+        if (live & out).any():
+            scale = np.ones_like(x1[0])
+            while (halve := live & (scale > _DAMPING_FLOOR) & (
+                    (x - scale * step <= 0.0).any(axis=0))).any():
+                scale[halve] *= 0.5
+            x1 = x - scale * step
             out = (x1 <= 0.0).any(axis=0)
-            if (live & out).any():
-                scale = np.ones_like(x1[0])
-                while (halve := live & (scale > _DAMPING_FLOOR) & (
-                        (x - scale * step <= 0.0).any(axis=0))).any():
-                    scale[halve] *= 0.5
-                x1 = x - scale * step
-                out = (x1 <= 0.0).any(axis=0)
-            live &= ~out
-            x = np.where(live, x1, x)
-            live &= np.isfinite(x1).all(axis=0)
-        else:
-            x = np.where(live, x1, x)
+        live &= ~out
+        x = np.where(live, x1, x)
+        live &= np.isfinite(x1).all(axis=0)
     return x[0], x[1], converged
 
 

@@ -195,7 +195,7 @@ def contraction_ball(params: SystemParams, theta: float) -> float:
 
 
 def solve_tR_sR(params: SystemParams, theta: float,
-                tol: float = 1e-12) -> PerturbationSolution:
+                tol: float = algebraic.RESIDUAL_TOL) -> PerturbationSolution:
     """Fixed point of the overlap-perturbed projection system
 
         t^((2*-2)/2) + (alpha gamma/2*) t^((alpha-2)/2) s^(beta/2) theta = 1,
@@ -261,7 +261,7 @@ def solve_tR_sR(params: SystemParams, theta: float,
 
 def energy_gap_vs_R(params: SystemParams, R_list,
                     quad: OverlapQuadrature = OverlapQuadrature(),
-                    tol: float = 1e-12) -> list[GapRow]:
+                    tol: float = algebraic.RESIDUAL_TOL) -> list[GapRow]:
     """Split-energy upper bound along a separation ladder (gamma < 0 only).
 
     For each R: theta(R), the fixed point (t_R, s_R), the dimensionless
@@ -289,7 +289,7 @@ def energy_gap_vs_R(params: SystemParams, R_list,
 
 def continuation_branch(params_base: SystemParams, gamma_max: float,
                         step: float | None = None,
-                        tol: float = 1e-12,
+                        tol: float = algebraic.RESIDUAL_TOL,
                         cond_limit: float = 1e12) -> ContinuationPath:
     """Trace (k(gamma), l(gamma)) from the decoupled point at gamma = 0.
 
@@ -384,12 +384,15 @@ def continuation_branch(params_base: SystemParams, gamma_max: float,
 
 def _accept(params, k, l, tol):
     """The sample at (params.gamma, k, l), and the Jacobian and gamma
-    gradient of the system there."""
+    gradient of the system there, which must be finite."""
     f1, f2, J, grad = algebraic._system(params, k, l)
     res = float(max(abs(f1), abs(f2)))
     if res > max(tol, 1e-10):
         raise DivergenceError("accepted sample violates the residual bound",
                               constraint="residual", value=res)
+    if not (np.isfinite(J).all() and np.isfinite(grad).all()):
+        raise NumericalError("the Jacobian leaves the float range",
+                             constraint="jacobian", value=params.gamma)
     cond = float(np.linalg.cond(J))
     ok = regimes.energy_ordering_check(params, k, l)
     return BranchSample(gamma=params.gamma, k=float(k), l=float(l),

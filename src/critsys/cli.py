@@ -86,7 +86,7 @@ def _writing(flag, path):
 def _emit(text: str, out_path):
     if out_path:
         with _writing("out", out_path), open(out_path, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            fh.write(text + "\n")
     else:
         print(text)
 
@@ -240,11 +240,7 @@ def _cmd_solve(args):
         report = algebraic.check_domination(p, sol,
                                             samples=args.check_domination,
                                             seed=args.seed)
-        payload["domination"] = {
-            "samples": report.samples, "feasible": report.feasible,
-            "violations": report.violations,
-            "worst_margin": report.worst_margin,
-        }
+        payload["domination"] = _record(report)
     return payload
 
 
@@ -383,7 +379,7 @@ def _cmd_sweep(args):
                           constraint="grid size", value=total)
 
     points = []
-    for combo in itertools.product(*axis_values) if axis_values else [()]:
+    for combo in itertools.product(*axis_values):
         point = dict(fixed)
         point.update(dict(zip(axis_names, combo)))
         points.append(point)

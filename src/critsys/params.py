@@ -1,8 +1,8 @@
 """Validated parameter sets shared by every module.
 
 The second coupling exponent is always derived, never user supplied, so the
-constraint alpha + beta = 2n/(n - 2s) holds exactly by construction.  All
-values are immutable after construction and safe to share between threads.
+constraint alpha + beta = 2n/(n - 2s) holds by construction, up to the
+rounding of 2* - alpha.  All values are immutable after construction.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DomainError
 
-#: tolerance for closed-form identities that must hold after construction
+#: how far a beta supplied beside alpha may lie from the derived 2* - alpha
 IDENTITY_TOL = 1e-12
 
 
@@ -95,15 +95,13 @@ def make_params(n: int, s: float, alpha: float, mu1: float, mu2: float,
         raise DomainError("mu2 must be positive", constraint="mu2", value=mu2)
 
     beta = two_star - alpha
-    p = SystemParams(n=n, s=s, alpha=alpha, beta=beta, mu1=mu1, mu2=mu2,
-                     gamma=gamma)
-    assert abs(p.alpha + p.beta - p.two_star) <= IDENTITY_TOL
-    return p
+    return SystemParams(n=n, s=s, alpha=alpha, beta=beta, mu1=mu1, mu2=mu2,
+                        gamma=gamma)
 
 
 def _check_finite_real(name, v):
     if not (isinstance(v, (int, float, np.floating, np.integer))
-            and abs(v) <= sys.float_info.max):
+            and not isinstance(v, bool) and abs(v) <= sys.float_info.max):
         raise DomainError(f"{name} must be a finite real number",
                           constraint=name, value=v)
 

@@ -382,6 +382,11 @@ def _core_report(lhs: np.ndarray, rhs: np.ndarray,
     return ResidualReport(rel_l2_core=rel_l2, rel_sup_core=rel_sup)
 
 
+def _report_on(field: GridField, s: float, rhs, box, win) -> ResidualReport:
+    """`_core_report` of (-Delta)^s ``field`` against ``rhs`` on the core."""
+    return _core_report(_finite(_frac_laplacian_on(field, s, box)), rhs, win)
+
+
 def pde_residual_single(params: SystemParams, U: GridField) -> ResidualReport:
     """Residual of the single critical equation (-Delta)^s U = U^(2*-1).
 
@@ -390,8 +395,7 @@ def pde_residual_single(params: SystemParams, U: GridField) -> ResidualReport:
     """
     box, win = _core_box(U.n, U.N, U.L)
     rhs = U.values_on(box) ** (params.two_star - 1.0)
-    return _core_report(_finite(_frac_laplacian_on(U, params.s, box)), rhs,
-                        win)
+    return _report_on(U, params.s, rhs, box, win)
 
 
 def pde_residual_system(params: SystemParams, k: float, l: float,
@@ -409,15 +413,13 @@ def pde_residual_system(params: SystemParams, k: float, l: float,
     box, win = _core_box(U.n, U.N, U.L)
     core = U.values_on(box)
     ub, vb = np.sqrt(k) * core, np.sqrt(l) * core
-    rhs1 = (params.mu1 * ub ** (ts - 1.0)
-            + (a * params.gamma / ts) * ub ** (a - 1.0) * vb ** b)
-    report1 = _core_report(_finite(_frac_laplacian_on(
-        replace(U, box=np.sqrt(k) * U.box), params.s, box)), rhs1, win)
-    rhs2 = (params.mu2 * vb ** (ts - 1.0)
-            + (b * params.gamma / ts) * ub ** a * vb ** (b - 1.0))
-    report2 = _core_report(_finite(_frac_laplacian_on(
-        replace(U, box=np.sqrt(l) * U.box), params.s, box)), rhs2, win)
-    return report1, report2
+    # equation i: (-Delta)^s w_i = mu_i w_i^(2*-1) + c_i u^p_i v^q_i
+    return tuple(
+        _report_on(replace(U, box=np.sqrt(x) * U.box), params.s,
+                   mu * w ** (ts - 1.0) + c * ub ** p * vb ** q, box, win)
+        for x, mu, w, c, p, q in (
+            (k, params.mu1, ub, a * params.gamma / ts, a - 1.0, b),
+            (l, params.mu2, vb, b * params.gamma / ts, a, b - 1.0)))
 
 
 def dump_field(field: GridField, s: float, path: str) -> None:

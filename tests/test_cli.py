@@ -706,6 +706,31 @@ def test_continue_bad_step_or_gamma_max_is_domain_error(capsys, flag,
         ("domain", constraint, value)
 
 
+def test_continue_non_finite_jacobian_is_numerical_error(capsys):
+    # k_sup = 1e-300 is in range, but k^((alpha-4)/2) overflows, so the
+    # coupling columns of the Jacobian at gamma = 0 are 0 * inf
+    argv = ["continue", "--n", "3", "--s", "0.5", "--alpha", "1.5",
+            "--mu2", "1", "--gamma", "0", "--gamma-max", "1"]
+    code, out, err = run_main(capsys, *argv, "--mu1", "1e150")
+    assert code == 2 and out == ""
+    payload = json.loads(err)
+    assert (payload["error"], payload["constraint"]) == \
+        ("numerical", "jacobian")
+    code, out, err = run_main(capsys, *argv, "--mu1", "1e100")
+    assert code == 0 and err == ""
+    assert out.splitlines()[0] == ",".join(cli.CONTINUE_COLUMNS)
+
+
+def test_solve_ratio_at_zero_tol_is_residual_error(capsys):
+    code, out, err = run_main(capsys, "solve", "--method", "ratio", "--n",
+                              "1", "--s", "0.4", "--alpha", "5", "--mu1", "1",
+                              "--mu2", "1", "--gamma", "4", "--tol", "0")
+    assert code == 2 and out == ""
+    payload = json.loads(err)
+    assert (payload["error"], payload["constraint"]) == \
+        ("numerical", "residual")
+
+
 def test_negative_domination_samples_is_domain_error(tmp_path, capsys):
     params = write_params(tmp_path, gamma=2.0)
     code, out, err = run_main(capsys, "solve", "--params", params,
@@ -846,6 +871,49 @@ def test_non_numeric_beta_is_domain_error(tmp_path, capsys, beta):
     payload = json.loads(err)
     assert (payload["error"], payload["constraint"]) == ("domain", "beta")
     assert payload["message"] == "beta must be a finite real number"
+
+
+LARGE_TWO_STAR = {"n": 2, "s": 0.9998666793056956,
+                  "alpha": 2300.1004349324694, "mu1": 1.0, "mu2": 1.0}
+
+
+def test_large_critical_exponent_classifies_and_sweeps(tmp_path, capsys):
+    # 2* is about 15001, where 2* - alpha rounds by more than 1e-12
+    argv = [f"--{k}={v}" for k, v in LARGE_TWO_STAR.items()]
+    code, out, err = run_main(capsys, "classify", *argv, "--gamma=1")
+    assert code == 0 and err == ""
+    params = json.loads(out)["params"]
+    path = tmp_path / "printed.json"
+    path.write_text(json.dumps(params))
+    code, out, err = run_main(capsys, "classify", "--params", str(path))
+    assert code == 0 and err == ""
+    assert json.loads(out)["params"]["beta"] == params["beta"]
+    grid_path = tmp_path / "grid.json"
+    grid_path.write_text(json.dumps({"axes": {"gamma": [1.0, 2.0]},
+                                     "fixed": LARGE_TWO_STAR}))
+    code, out, err = run_main(capsys, "sweep", "--grid", str(grid_path))
+    assert code == 0 and err == ""
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert [(row[6], row[9]) for row in rows] == [("1", ""), ("2", "")]
+    assert all(row[3] == format(params["beta"], ".17g") for row in rows)
+
+
+def test_boolean_parameter_is_domain_error(tmp_path, capsys):
+    params = write_params(tmp_path, mu1=True, gamma=True)
+    code, out, err = run_main(capsys, "classify", "--params", params)
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert (payload["error"], payload["constraint"]) == ("domain", "mu1")
+    grid_path = tmp_path / "grid.json"
+    grid_path.write_text(json.dumps({
+        "axes": {"gamma": [False, 2.0]},
+        "fixed": {"n": 3, "s": 0.5, "alpha": 1.5, "mu1": 1, "mu2": 1}}))
+    code, out, err = run_main(capsys, "sweep", "--grid", str(grid_path))
+    assert code == 0 and err == ""
+    lines = out.strip().splitlines()
+    assert lines[1] == ("3,0.5,1.5,,1,1,false,INVALID,,"
+                        "domain: gamma must be a finite real number")
+    assert "INVALID" not in lines[2]
 
 
 def test_sweep_records_non_numeric_beta_as_invalid(tmp_path, capsys):

@@ -64,6 +64,24 @@ def test_named_rejections():
         make_params(3, 0.5, 1.5, 1.0, 1.0, float("inf"))
 
 
+def test_critical_exponent_far_above_4096_builds():
+    # 2* is about 15001: beta = 2* - alpha rounds by more than 1e-12 there,
+    # which is no reason to refuse the point
+    p = make_params(2, 0.9998666793056956, 2300.1004349324694, 1.0, 1.0, 1.0)
+    assert p.beta == p.two_star - p.alpha
+    assert p.two_star > 15000.0
+
+
+@pytest.mark.parametrize("key", ["s", "alpha", "mu1", "mu2", "gamma", "beta"])
+@pytest.mark.parametrize("value", [True, False])
+def test_boolean_parameter_is_refused(key, value):
+    fields = {"n": 3, "s": 0.5, "alpha": 1.5, "mu1": 1.0, "mu2": 1.0,
+              "gamma": 1.0, key: value}
+    with pytest.raises(DomainError, match="finite real number") as err:
+        params_from_dict(fields)
+    assert err.value.constraint == key
+
+
 def test_critical_exponent_values():
     assert make_params(3, 0.5, 1.5, 1, 1, 0).two_star == pytest.approx(3.0)
     assert make_params(4, 0.9, 1.5, 1, 1, 0).two_star \
