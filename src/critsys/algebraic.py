@@ -42,9 +42,14 @@ BISECT_RTOL = 4.0 * np.finfo(float).eps
 
 #: the bracketing scan of find_k0_l0, as fractions of k_sup
 _SCAN = np.geomspace(1e-8, 1.0 - 1e-12, 512)
-#: points per scan of find_k0_l0_batch; bounds each of its (points x 512)
-#: float arrays at 4 MB whatever the number of points
+#: points per call of find_k0_l0_batch's solver; bounds the per-point
+#: vectors of its bisection and Newton tail on grids of a million points
 _BATCH = 1024
+#: points per block of the scan, twice as many in the 256-point minimal-k
+#: check: a block's largest float temporary, `_f_core`'s t1 and t3 in one
+#: (2, 8, 512) array, is then 64 KiB, half glibc's default mmap threshold,
+#: so each block reuses freed heap instead of faulting in fresh pages
+_SCAN_ROWS = 8
 #: a Newton step that would leave k, l > 0 is halved down to this factor
 _DAMPING_FLOOR = 1e-6
 #: Newton steps of the polish after bisection
@@ -305,42 +310,41 @@ def eval_f(params: SystemParams, k):
     """
     karr = _curve_argument(params, k)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return _scalar(_f_core(_f_coefficients([params])[:, 0], karr))
+        coef = _f_coefficients([params]).reshape((9,) + (1,) * karr.ndim)
+        return _scalar(_f_core(coef, karr))
 
 
 def _f_coefficients(points) -> np.ndarray:
     """The per-point constants of f, shape (9, len(points)), in the order
-    `_f_core` unpacks them.  Each is formed in Python floats with
-    ``math.log``, so that f(k) does not depend on how many points share a
-    call."""
+    `_f_core` unpacks them: mu1, r and t2, then c, e and w of t1 and of
+    t3.  Each is formed in Python floats with ``math.log``, so that f(k)
+    does not depend on how many points share a call."""
     rows = []
     for p in points:
         a, b, ts = p.alpha, p.beta, p.two_star
         lc = math.log(ts / (a * p.gamma))
-        rows.append((p.mu1, 0.5 * (ts - 2.0),
-                     math.log(p.mu2) + (a / b) * lc,
-                     (ts - 2.0) * a / (2.0 * b), a / b,
-                     (2.0 - b) / b * lc, (ts - 2.0) / b, (2.0 - b) / b,
-                     b * p.gamma / ts))
+        rows.append((p.mu1, 0.5 * (ts - 2.0), b * p.gamma / ts,
+                     math.log(p.mu2) + (a / b) * lc, (2.0 - b) / b * lc,
+                     (ts - 2.0) * a / (2.0 * b), (ts - 2.0) / b,
+                     a / b, (2.0 - b) / b))
     return np.array(rows, dtype=float).reshape(len(points), 9).T
 
 
 def _f_core(coef, k):
-    """f at k, with ``coef`` from `_f_coefficients` broadcast against k."""
-    mu1, r, c1, e1, ab, c3, e3, cb, t2 = coef
+    """f at k = t1 + t2 - t3, with log t = c - e log k + w log Q for t1 and
+    t3 in one array.  ``coef`` is from `_f_coefficients`, its trailing axes
+    as many as k's and broadcast against them."""
+    mu1, r, t2 = coef[:3]
     logk = np.log(k)
     q = np.maximum(1.0 - mu1 * np.exp(r * logk), 0.0)
-    logq = np.log(q)
-    log_t1 = c1 - e1 * logk + ab * logq
-    log_t3 = c3 - e3 * logk + cb * logq
-    t1 = np.exp(np.minimum(log_t1, 690.0))
-    t3 = np.exp(np.minimum(log_t3, 690.0))
+    log_t = coef[3:5] - coef[5:7] * logk + coef[7:] * np.log(q)
+    t1, t3 = np.exp(np.minimum(log_t, 690.0))
     out = t1 + t2 - t3
     # resolve overflow by log comparison of the competing terms
-    huge = (log_t1 > 689.0) | (log_t3 > 689.0)
+    huge = log_t > 689.0
     if huge.any():
-        sign = np.where(log_t1 >= log_t3, 1.0, -1.0)
-        out = np.where(huge, sign * F_SENTINEL, out)
+        sign = np.where(log_t[0] >= log_t[1], 1.0, -1.0)
+        out = np.where(huge[0] | huge[1], sign * F_SENTINEL, out)
     return out
 
 
@@ -481,47 +485,68 @@ def _solve_batch(points, tol) -> list:
     results = [_prescan(p) for p in points]
     scan = [i for i, r in enumerate(results) if isinstance(r, bool)]
     case_a = np.array([results[i] for i in scan], dtype=bool)
+    stack = _stack([points[i] for i in scan])
     coef = _f_coefficients([points[i] for i in scan])
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        ksup = np.array([k_sup(points[i]) for i in scan])
-        grid = ksup[:, None] * _SCAN
-        fv = _f_core(coef[:, :, None], grid)
-    # the first event of each row: f = 0 at a grid point, or a sign change
-    # between a grid point and the next
-    zero = fv == 0.0
-    event = zero.copy()
-    event[:, :-1] |= np.sign(fv[:, :-1]) * np.sign(fv[:, 1:]) < 0.0
-    first = event.argmax(axis=1)
-    crossing = (~zero[np.arange(len(scan)), first]).astype(int)
+        ksup = k_sup(stack)
+        found, first, f_first, ends = _scan(coef, ksup)
+    # a zero on the grid is the bracket [k, k], which bisect returns as is
+    crossing = (f_first != 0.0).astype(int)
     todo = []
     for row, i in enumerate(scan):
-        j = first[row]
-        if not event[row, j]:
+        if not found[row]:
             results[i] = NoSignChangeError(
                 "scan found no sign change of f; parameters outside the "
                 "solvable hypotheses or grid too coarse",
-                constraint="bracket",
-                value=(float(fv[row, 0]), float(fv[row, -1])))
-        elif crossing[row] and not case_a[row] and fv[row, j] > 0.0:
+                constraint="bracket", value=tuple(ends[row].tolist()))
+        elif crossing[row] and not case_a[row] and f_first[row] > 0.0:
             # f must rise through its minimal root; a falling first crossing
             # means the true minimal root sits below the scan floor
             results[i] = NumericalError(
                 "leftmost crossing is a sign fall; the minimal root lies "
                 "below the scan floor (coupling too weak for this grid)",
-                constraint="scan-floor", value=float(grid[row, j]))
+                constraint="scan-floor",
+                value=float(ksup[row] * _SCAN[first[row]]))
         else:
             todo.append(row)
 
-    # a zero on the grid is the bracket [k, k], which bisect returns as is
-    cells, sub = first[todo], coef[:, todo]
+    todo = np.array(todo, dtype=int)
+    cells, sub, ksup = first[todo], coef[:, todo], ksup[todo]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        k_root = bisect(lambda k: _f_core(sub, k), grid[todo, cells],
-                        grid[todo, cells + crossing[todo]])
-        polished = _polish_roots(_stack([points[scan[r]] for r in todo]),
-                                 k_root, tol, ksup[todo], sub, case_a[todo])
-    for row, result in zip(todo, polished):
+        k_root = bisect(lambda k: _f_core(sub, k), ksup * _SCAN[cells],
+                        ksup * _SCAN[cells + crossing[todo]])
+        polished = _polish_roots(
+            SystemParams(**{f.name: getattr(stack, f.name)[todo]
+                            for f in fields(SystemParams)}),
+            k_root, tol, ksup, sub, case_a[todo])
+    for row, result in zip(todo.tolist(), polished):
         results[scan[row]] = result
     return results
+
+
+def _scan(coef, ksup):
+    """The first event of f on each point's scan, ``_SCAN`` times its
+    ``ksup``: f = 0 at a grid point, or a sign change between a grid point
+    and the next.  Returns per point whether it has one, the index of its
+    grid point (0 if none), f there, and f at the scan's floor and top.
+    The points go ``_SCAN_ROWS`` at a time, so that no (points x 512)
+    array is formed."""
+    found = np.empty(len(ksup), dtype=bool)
+    first = np.empty(len(ksup), dtype=int)
+    f_first = np.empty(len(ksup))
+    ends = np.empty((len(ksup), 2))
+    for start in range(0, len(ksup), _SCAN_ROWS):
+        block = slice(start, start + _SCAN_ROWS)
+        f = _f_core(coef[:, block, None], ksup[block, None] * _SCAN)
+        event = f == 0.0
+        sign = np.sign(f)
+        event[:, :-1] |= sign[:, :-1] * sign[:, 1:] < 0.0
+        j = first[block] = event.argmax(axis=1)
+        rows = np.arange(len(j))
+        found[block] = event[rows, j]
+        f_first[block] = f[rows, j]
+        ends[block] = f[:, ::len(_SCAN) - 1]
+    return found, first, f_first, ends
 
 
 def _polish_roots(params, k, tol, ksup, coef, case_a) -> list:
@@ -543,14 +568,20 @@ def _polish_roots(params, k, tol, ksup, coef, case_a) -> list:
                                     value=(results[i].k, results[i].l))
 
     # in the convex-curve regime the reduction must stay negative left of
-    # the minimal root
+    # the minimal root, checked on 256 points a root: twice _SCAN_ROWS
+    # roots at a time, whose temporaries are then the size of a scan block's
     rows = np.flatnonzero(ok & in_box & ~case_a & (k > 2e-8 * ksup))
-    left = np.geomspace(ksup[rows] * 1e-8, k[rows] * (1.0 - 1e-6), 256,
-                        axis=1)
-    for i in rows[np.any(_f_core(coef[:, rows, None], left) > 1e-10, axis=1)]:
-        results[i] = NumericalError(
-            "f is positive left of the returned root; minimal-k "
-            "selection failed", constraint="minimal-k", value=results[i].k)
+    for start in range(0, len(rows), 2 * _SCAN_ROWS):
+        block = rows[start:start + 2 * _SCAN_ROWS]
+        # C order, so that each row is one contiguous inner loop
+        left = np.ascontiguousarray(np.geomspace(
+            ksup[block] * 1e-8, k[block] * (1.0 - 1e-6), 256, axis=1))
+        for i in block[np.any(_f_core(coef[:, block, None], left) > 1e-10,
+                              axis=1)]:
+            results[i] = NumericalError(
+                "f is positive left of the returned root; minimal-k "
+                "selection failed", constraint="minimal-k",
+                value=results[i].k)
     return results
 
 
@@ -794,8 +825,13 @@ def check_domination(params: SystemParams, solution: CouplingSolution,
     lo_d, hi_d = l0 / 10.0, 10.0 * max(l0, ls)
     c = np.exp(rng.uniform(math.log(lo_c), math.log(hi_c), samples))
     d = np.exp(rng.uniform(math.log(lo_d), math.log(hi_d), samples))
-    f1, f2 = _residuals(params, c, d)
-    feas = (f1 >= 0.0) & (f2 >= 0.0)
+    # F1 and F2 a scan block's worth of samples at a time, so that their
+    # temporaries stay as small as the scan's
+    feas = np.empty(samples, dtype=bool)
+    for start in range(0, samples, _SCAN_ROWS * _SCAN.size):
+        block = slice(start, start + _SCAN_ROWS * _SCAN.size)
+        f1, f2 = _residuals(params, c[block], d[block])
+        feas[block] = (f1 >= 0.0) & (f2 >= 0.0)
     margins = c + d - (k0 + l0)
     n_feas = int(np.count_nonzero(feas))
     if n_feas == 0:

@@ -14,7 +14,8 @@ import numpy as np
 
 from .errors import DomainError
 
-#: how far a beta supplied beside alpha may lie from the derived 2* - alpha
+#: how far a beta supplied beside alpha may lie from the derived 2* - alpha,
+#: relative to 2*, whose rounding bounds that of 2* - alpha
 IDENTITY_TOL = 1e-12
 
 
@@ -109,8 +110,8 @@ def _check_finite_real(name, v):
 def params_from_dict(obj: dict) -> SystemParams:
     """Build params from a JSON-style mapping ``{"n":..., ..., "gamma":...}``.
 
-    A ``beta`` entry is tolerated if it is a finite real number consistent
-    with the derived value.
+    A ``beta`` entry is tolerated if it is a finite real number within
+    ``IDENTITY_TOL`` times 2* of the derived value.
     """
     missing = [k for k in PARAM_KEYS if k not in obj]
     if missing:
@@ -119,7 +120,7 @@ def params_from_dict(obj: dict) -> SystemParams:
     p = make_params(**{k: obj[k] for k in PARAM_KEYS})
     if "beta" in obj:
         _check_finite_real("beta", obj["beta"])
-        if abs(float(obj["beta"]) - p.beta) > IDENTITY_TOL:
+        if abs(float(obj["beta"]) - p.beta) > IDENTITY_TOL * p.two_star:
             raise DomainError(
                 "supplied beta is inconsistent with 2* - alpha",
                 constraint="beta", value=obj["beta"])

@@ -451,16 +451,19 @@ def test_batch_equals_point_by_point_over_the_box(monkeypatch):
         points.append(make_params(n, s, alpha, mu1, mu2,
                                   sign * 10.0 ** rng.uniform(-6.0, 6.0)))
     whole = find_k0_l0_batch(points)
-    # the same points split into scans of 37 points each
+    # the same points split into scans of 37 points each, and then each
+    # scan and minimal-k check into blocks of 5, which divide neither
     monkeypatch.setattr(algebraic, "_BATCH", 37)
     chunked = find_k0_l0_batch(points)
+    monkeypatch.setattr(algebraic, "_SCAN_ROWS", 5)
+    blocked = find_k0_l0_batch(points)
     seen = Counter()
-    for p, got, got_chunked in zip(points, whole, chunked):
+    for p, *got in zip(points, whole, chunked, blocked):
         try:
             want = find_k0_l0(p)
         except CritsysError as exc:
             want = exc
-        for result in (got, got_chunked):
+        for result in got:
             assert type(result) is type(want)
             if isinstance(want, CouplingSolution):
                 assert result == want  # k, l, both residuals and the method
@@ -473,6 +476,25 @@ def test_batch_equals_point_by_point_over_the_box(monkeypatch):
     assert seen["no-sign-change", "bracket"]
     assert seen["numerical", "scan-floor"]
     assert find_k0_l0_batch([]) == []
+
+
+def test_batch_never_holds_a_whole_scan():
+    # the 610 points of scripts/run_phase_diagram.py's grid, the caches
+    # warm: one (points x 512) float array of the 500 it scans would take
+    # 2 MB
+    import tracemalloc
+
+    points = [make_params(3, 0.5, round(1.1 + 0.08 * i, 10), 1.0, 1.0,
+                          round(-0.5 + 0.05 * j, 10))
+              for j in range(61) for i in range(10)]
+    find_k0_l0_batch(points)
+    tracemalloc.start()
+    try:
+        find_k0_l0_batch(points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 #: the constraints of the errors raised after bisection, in check order
@@ -597,7 +619,7 @@ def test_tail_refuses_a_root_with_f_positive_to_its_left(gamma, f_max):
     assert result.constraint == "minimal-k"
     assert result.value == pytest.approx(k, rel=1e-9)
     left = np.geomspace(ksup * 1e-8, result.value * (1.0 - 1e-6), 256)
-    assert algebraic._f_core(coef[:, 0], left).max() == \
+    assert algebraic._f_core(coef, left).max() == \
         pytest.approx(f_max, rel=0.01)
 
 
@@ -832,12 +854,15 @@ def test_domination_randomized_clean():
     assert report.worst_margin >= -1e-9
 
 
-def test_domination_concave_regime():
+def test_domination_concave_regime(monkeypatch):
     p = make_params(3, 0.5, 1.5, 1.0, 1.0, 2.0)  # above the B threshold
     sol = find_k0_l0(p)
     report = check_domination(p, sol, samples=2000, seed=3)
     assert report.violations == 0
     assert report.worst_margin >= -1e-9
+    # the same draws in blocks of 512 samples, the last one short
+    monkeypatch.setattr(algebraic, "_SCAN_ROWS", 1)
+    assert check_domination(p, sol, samples=2000, seed=3) == report
 
 
 def test_domination_with_no_samples_has_no_feasible_pair():

@@ -70,6 +70,10 @@ def test_critical_exponent_far_above_4096_builds():
     p = make_params(2, 0.9998666793056956, 2300.1004349324694, 1.0, 1.0, 1.0)
     assert p.beta == p.two_star - p.alpha
     assert p.two_star > 15000.0
+    # a beta one ulp off the derived one, 1.8e-12 away, agrees with it
+    assert params_from_dict({"n": 2, "s": p.s, "alpha": p.alpha,
+                             "beta": math.nextafter(p.beta, math.inf),
+                             "mu1": 1.0, "mu2": 1.0, "gamma": 1.0}) == p
 
 
 @pytest.mark.parametrize("key", ["s", "alpha", "mu1", "mu2", "gamma", "beta"])
