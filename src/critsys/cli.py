@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import dataclasses
 import functools
+import io
 import itertools
 import json
 import math
@@ -48,9 +50,12 @@ def _fmt(value) -> str:
 
 
 def _csv(columns, rows) -> str:
-    """CSV text: the header line, then one line of `_fmt` values per row."""
-    return "\n".join([",".join(columns)]
-                     + [",".join(_fmt(v) for v in row) for row in rows])
+    """CSV text: the header line, then one line of `_fmt` values per row;
+    a field holding a comma, a quote or a line break is quoted (RFC 4180)."""
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows(itertools.chain(
+        [columns], ([_fmt(v) for v in row] for row in rows)))
+    return text.getvalue()[:-1]  # `_emit` ends the text
 
 
 def dumps17(obj, indent=0) -> str:
@@ -327,36 +332,36 @@ def _cmd_continue(args):
 
 
 def _sweep_rows(points, tol):
-    """CSV rows of a sweep in grid order.  Every attained point is solved in
-    one batch; a failing point records its error instead of a value."""
-    rows, params = [], []
+    """Sweep rows in grid order, lists in `SWEEP_COLUMNS` order.  A valid
+    point is classified once; the attained ones are solved in one batch, a
+    row's dimensionless_A being its k0 + l0.  A failing point records its
+    error instead of a value."""
+    rows, attained = [], []
     for point in points:
         try:
             p = params_from_dict(point)
         except CritsysError as exc:
-            p, row = None, dict(point, beta="", label="INVALID",
-                                error=f"{exc.code}: {exc}")
-        else:
-            row = _record(p)
-            row["label"], row["error"] = regimes.classify(p).label, ""
-        row["dimensionless_A"] = ""
-        rows.append(row)
-        params.append(p)
-
-    solve = [i for i, row in enumerate(rows)
-             if row["label"] in regimes.ATTAINED]
-    solutions = dict(zip(solve, algebraic.find_k0_l0_batch(
-        [params[i] for i in solve], tol=tol)))
-    for i, (row, p) in enumerate(zip(rows, params)):
-        sol = solutions.get(i)
-        if isinstance(sol, CritsysError):
-            row["error"] = f"{sol.code}: {sol}"
-        elif sol is not None or row["label"] == regimes.NEGATIVE_GAMMA:
+            fields = dict(point, beta="")
+            rows.append([fields.get(name, "")
+                         for name in _field_names(SystemParams)]
+                        + ["INVALID", "", f"{exc.code}: {exc}"])
+            continue
+        label, value, error = regimes.classify(p).label, "", ""
+        if label == regimes.NEGATIVE_GAMMA:
             try:
-                row["dimensionless_A"] = regimes.least_energy(
-                    p, solution=sol).dimensionless_A
+                value = regimes.least_energy(p).dimensionless_A
             except CritsysError as exc:
-                row["error"] = f"{exc.code}: {exc}"
+                error = f"{exc.code}: {exc}"
+        elif label in regimes.ATTAINED:
+            attained.append((len(rows), p))
+        rows.append([*_record(p).values(), label, value, error])
+
+    solutions = algebraic.find_k0_l0_batch([p for _, p in attained], tol=tol)
+    for (i, _), sol in zip(attained, solutions):
+        if isinstance(sol, CritsysError):
+            rows[i][-1] = f"{sol.code}: {sol}"
+        else:
+            rows[i][-2] = sol.k + sol.l
     return rows
 
 
@@ -371,21 +376,14 @@ def _cmd_sweep(args):
                           value=args.grid)
     axis_names = list(axes)
     axis_values = [axes[name] for name in axis_names]
-    total = 1
-    for vals in axis_values:
-        total *= max(len(vals), 1)
+    total = math.prod(max(len(vals), 1) for vals in axis_values)
     if total > SWEEP_CAP:
         raise DomainError(f"grid has {total} points, above the cap {SWEEP_CAP}",
                           constraint="grid size", value=total)
 
-    points = []
-    for combo in itertools.product(*axis_values):
-        point = dict(fixed)
-        point.update(dict(zip(axis_names, combo)))
-        points.append(point)
-
-    return SWEEP_COLUMNS, [[row.get(col, "") for col in SWEEP_COLUMNS]
-                           for row in _sweep_rows(points, args.tol)]
+    points = ({**fixed, **dict(zip(axis_names, combo))}
+              for combo in itertools.product(*axis_values))
+    return SWEEP_COLUMNS, _sweep_rows(points, args.tol)
 
 
 def main(argv=None) -> int:

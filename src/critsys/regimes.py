@@ -144,18 +144,18 @@ def least_energy(params: SystemParams,
                  S_s: float | None = None) -> EnergyReport:
     """Least-energy value in the regimes where it is established.
 
-    In the NEGATIVE_GAMMA regime the dimensionless value is
-    mu1^(-(n-2s)/2s) + mu2^(-(n-2s)/2s) and the minimum is not attained.
-    In the attained regimes it is k0 + l0 and requires a solved coupling
-    pair.  ``absolute_A`` = (s/n) * dimensionless_A * S_s^(n/2s) is filled
-    when the sharp constant is supplied.
+    gamma < 0 is NEGATIVE_GAMMA, `classify`'s first rule, and needs no
+    classification: the dimensionless value is mu1^(-(n-2s)/2s) +
+    mu2^(-(n-2s)/2s) and the minimum is not attained.  In the attained
+    regimes it is k0 + l0 and requires a solved coupling pair.
+    ``absolute_A`` = (s/n) * dimensionless_A * S_s^(n/2s) is filled when
+    the sharp constant is supplied.
     """
-    regime = classify(params)
-    if regime.label == NEGATIVE_GAMMA:
+    if params.gamma < 0.0:
         e1, e2 = _single_mode_levels(params)
         dimless = e1 + e2
         coeffs = None
-    elif regime.label in ATTAINED:
+    elif (label := classify(params).label) in ATTAINED:
         if solution is None:
             raise DomainError("attained regime needs a solved coupling pair",
                               constraint="solution", value=None)
@@ -163,8 +163,8 @@ def least_energy(params: SystemParams,
         coeffs = (solution.k, solution.l)
     else:
         raise RegimeMismatchError(
-            f"least energy is not established in regime {regime.label}",
-            constraint="regime", value=regime.label)
+            f"least energy is not established in regime {label}",
+            constraint="regime", value=label)
     absolute = None
     if S_s is not None:
         if not (math.isfinite(S_s) and S_s > 0.0):

@@ -772,6 +772,16 @@ def test_diagnostics_rejects_wide_power():
         curve_diagnostics(P_A)  # 2* = 10 >= 4
 
 
+def test_diagnostics_refuses_a_grid_minimum_off_the_closed_form():
+    # alpha = 1.95, beta = 1.05: the slope minimum is too sharp for the
+    # 10 000-point grid, which misses it by 1.4e-5 relative
+    with pytest.raises(NumericalError) as err:
+        curve_diagnostics(make_params(3, 0.5, 1.95, 1.0, 1.0, 1.0))
+    assert (err.value.code, err.value.constraint) == ("numerical", "slope-min")
+    closed, measured = err.value.value
+    assert abs(measured - closed) > 1e-6 * abs(closed)
+
+
 def test_slope_fd_matches_analytic():
     ks, fd = finite_difference_lprime(P_B)
     an = curve_lprime(P_B, ks)

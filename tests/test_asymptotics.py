@@ -229,6 +229,17 @@ def test_fixed_point_ball_bound_small_theta():
         <= contraction_ball(P_NEG, 1e-3) + 1e-8
 
 
+def test_fixed_point_outside_the_certified_ball_is_divergence():
+    # the iteration converges, to |t - 1| + |s - 1| = 6, outside the ball
+    # of radius 4
+    p = make_params(3, 0.5, 1.5, 1.0, 1.0, -10.0)
+    with pytest.raises(DivergenceError) as err:
+        solve_tR_sR(p, 0.1)
+    assert (err.value.code, err.value.constraint) == ("divergence", "ball")
+    assert contraction_ball(p, 0.1) == 4.0
+    assert err.value.value == pytest.approx(6.0, rel=1e-9)
+
+
 def test_fixed_point_ball_bound_random_draws():
     rng = np.random.default_rng(11)
     accepted = 0

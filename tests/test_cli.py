@@ -1,8 +1,10 @@
 import argparse
+import csv
 import hashlib
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from critsys import cli
+from critsys import cli, regimes
 from critsys.algebraic import eval_F1, eval_F2
 from critsys.cli import dumps17, main
 from critsys.params import make_params
@@ -835,6 +837,43 @@ def test_sweep_records_invalid_points(tmp_path, capsys):
     assert len(lines) == 3
     assert "NEGATIVE_GAMMA" in lines[1]
     assert "INVALID" in lines[2] and "s out of range" in lines[2]
+
+
+@pytest.mark.parametrize("axes, fixed, cells", [
+    ({"gamma": ["a,b"]}, {"mu1": 1.0, "mu2": 1.0},
+     {"gamma": "a,b", "label": "INVALID"}),
+    ({"gamma": [1.0]}, {},
+     {"error": "domain: missing parameter fields: mu1, mu2"}),
+], ids=["comma-in-a-value", "comma-in-an-error"])
+def test_sweep_quotes_a_field_holding_a_comma(tmp_path, capsys, axes, fixed,
+                                              cells):
+    grid = {"axes": axes, "fixed": {"n": 3, "s": 0.5, "alpha": 1.5, **fixed}}
+    grid_path = tmp_path / "grid.json"
+    grid_path.write_text(json.dumps(grid))
+    code, out, _ = run_main(capsys, "sweep", "--grid", str(grid_path))
+    assert code == 0
+    header, *rows = csv.reader(out.splitlines())
+    assert header == list(cli.SWEEP_COLUMNS) and len(rows) == 1
+    assert len(rows[0]) == len(header)
+    row = dict(zip(header, rows[0]))
+    assert {col: row[col] for col in cells} == cells
+
+
+def test_sweep_classifies_each_point_once(tmp_path, monkeypatch, capsys):
+    # the 610 points of scripts/run_phase_diagram.py: an attained row takes
+    # k0 + l0 from the batch solution and a NEGATIVE_GAMMA row its value
+    # from least_energy, neither classifying again
+    calls, classify = [], regimes.classify
+
+    def counted(params):
+        calls.append(params)
+        return classify(params)
+
+    monkeypatch.setattr(regimes, "classify", counted)
+    script = runpy.run_path(str(Path(__file__).parents[1] / "scripts"
+                                / "run_phase_diagram.py"))
+    script["run"](str(tmp_path / "phase.csv"))
+    assert len(calls) == 610
 
 
 def test_sweep_cap(tmp_path, capsys):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from critsys import regimes
 from critsys.algebraic import CouplingSolution, find_k0_l0
 from critsys.errors import (DomainError, NumericalError,
                             RegimeMismatchError)
@@ -255,6 +256,15 @@ def test_least_energy_negative_gamma_formula():
     report = least_energy(p)
     assert report.dimensionless_A == pytest.approx(1.25, abs=1e-15)
     assert not report.attained and report.minimizer_coeffs is None
+
+
+def test_least_energy_negative_gamma_does_not_classify(monkeypatch):
+    def refuse(params):
+        raise AssertionError("classify called at gamma < 0")
+
+    monkeypatch.setattr(regimes, "classify", refuse)
+    p = make_params(3, 0.5, 1.5, 1.0, 2.0, -1.0)
+    assert least_energy(p).dimensionless_A == pytest.approx(1.25, abs=1e-15)
 
 
 def test_least_energy_negative_gamma_symmetric():
