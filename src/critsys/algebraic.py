@@ -50,6 +50,12 @@ _BATCH = 1024
 #: (2, 8, 512) array, is then 64 KiB, half glibc's default mmap threshold,
 #: so each block reuses freed heap instead of faulting in fresh pages
 _SCAN_ROWS = 8
+#: most abscissae, tree nodes times brackets, that `bisect` hands one call
+#: of f: a lone bracket takes 9 levels a call, 17 brackets 4, and more than
+#: 255 brackets one.  Measured against a cap of 127 on the scan's brackets
+#: of the reduction f: as fast for 1 and for 390 brackets, and up to a
+#: quarter faster for 9 to 100
+_TREE_NODES = 511
 #: a Newton step that would leave k, l > 0 is halved down to this factor
 _DAMPING_FLOOR = 1e-6
 #: Newton steps of the polish after bisection
@@ -351,29 +357,73 @@ def _f_core(coef, k):
 def bisect(f, a, b, xtol=BISECT_XTOL, rtol=BISECT_RTOL):
     """Roots of f on the brackets [a, b], all brackets at once.
 
-    f maps an array of abscissae to the array of its values.  f(a) and
-    f(b) must be nonzero and of opposite signs, unless a = b, which
-    returns a.  Each bracket repeats the steps of SciPy's bisect
-    with the same tolerances, so on the same values of f each root is
-    bit-identical to it: halve dm, try xm = xa + dm, keep xm as the new
-    xa when f(xm) f(a) >= 0, and stop at xm when f(xm) = 0 or
-    |dm| < xtol + rtol |xm|.  A bracket still open after 100 steps,
-    SciPy's default cap, returns its xa.
+    a and b are floats or 1-D arrays.  f maps a (nodes, brackets) array of
+    abscissae, one column per bracket (a float bracket is one column), to
+    the array of its values.  f(a) and f(b) must be nonzero and of opposite
+    signs, unless a = b, which returns a.  Each bracket repeats the steps of
+    SciPy's bisect with the same tolerances, so on the same values of f
+    each root is bit-identical to it: halve dm, try xm = xa + dm, keep xm
+    as the new xa when f(xm) f(a) >= 0, and stop at xm when f(xm) = 0 or
+    |dm| < xtol + rtol |xm|.  A bracket still open after 100 steps, SciPy's
+    default cap, returns its xa.
+
+    One call of f decides m steps of every bracket.  It takes the 2^m - 1
+    midpoints that the next m steps could try, the nodes of the bisection
+    tree, each formed as the steps form it: dm halved once per level (never
+    scaled by 2^-j, which differs for subnormal widths) and added to the xa
+    of the node's own path.  The steps then follow the path that the signs
+    of f choose.  m is the deepest tree whose nodes times brackets stay
+    within ``_TREE_NODES``, and at least 1, where a call is one step; f(a)
+    is one call more, of one row.
     """
     xa = np.asarray(a, dtype=float)
     dm = np.asarray(b, dtype=float) - xa
-    fa = f(xa)
-    for _ in range(100):
-        dm = dm * 0.5
-        xm = xa + dm
+    shape = dm.shape
+    dm = dm.reshape(1, -1)  # a row of brackets, as each level of the tree
+    cols = np.arange(dm.size)
+    depth = max(1, (_TREE_NODES // max(dm.size, 1) + 1).bit_length() - 1)
+    # row 0 of x holds xa, and rows 2^j .. 2^(j+1) - 1 the nodes of level j:
+    # row 2^j + c is tried from the xa in row c, so that rows 0 .. 2^j - 1
+    # hold the xa of every path through the first j levels.  Node q, 0-based
+    # (row q + 1), on level j steps to node q + 2^j when f(xm) f(a) < 0
+    # keeps xa, and to q + 2^(j+1) when xa moves to its xm
+    x = np.empty((2 ** depth, dm.size))
+    x[0] = np.broadcast_to(xa, shape).ravel()
+    width = np.empty((2 ** depth - 1, dm.size))  # |dm| of each node's level
+    levels = [(width[2 ** j - 1:2 ** (j + 1) - 1], x[:2 ** j],
+               x[2 ** j:2 ** (j + 1)]) for j in range(depth)]
+    node = np.arange(2 ** depth - 1)
+    size = np.repeat(2 ** np.arange(depth), 2 ** np.arange(depth))  # 2^j
+    head = node + 1 - size  # the row that each node is tried from
+    node, size = node[:, None], size[:, None]
+    keep = node + size
+    fa = f(x[:1])
+    for level in range(0, 100, depth):
+        m = min(depth, 100 - level)
+        for w, tried_from, nodes in levels[:m]:
+            dm = dm * 0.5
+            np.abs(dm, out=w)
+            np.add(tried_from, dm, out=nodes)
+        xm = x[1:2 ** m]
         fm = f(xm)
-        done = (fm == 0.0) | (abs(dm) < xtol + rtol * abs(xm))
-        # a converged bracket keeps its root as xa and stops moving
-        xa = np.where(done | (fm * fa >= 0.0), xm, xa)
-        dm = np.where(done, 0.0, dm)
-        if done.all():
+        done = (fm == 0.0) | (width[:len(xm)] < xtol + rtol * np.abs(xm))
+        move = done | (fm * fa >= 0.0)
+        # every bracket starts at the root, steps as its signs pick on each
+        # level above the last (its n nodes), and stays on a node where it
+        # stops; `at` indexes the node of each bracket
+        at = 0, slice(None)
+        n = len(xm) // 2
+        if n:
+            nxt = np.where(done[:n], node[:n], keep[:n] + size[:n] * move[:n])
+            for _ in range(m - 1):
+                at = nxt[at], cols
+        # the step at the node reached, as the loop takes it
+        stop = done[at]
+        x[0] = np.where(move[at], xm[at], x[head[at[0]], at[1]])
+        dm = np.where(stop, 0.0, dm)
+        if stop.all():
             break
-    return _scalar(xa)
+    return _scalar(x[0].reshape(shape))
 
 
 def jacobian(params: SystemParams, k: float, l: float) -> np.ndarray:
@@ -511,9 +561,13 @@ def _solve_batch(points, tol) -> list:
             todo.append(row)
 
     todo = np.array(todo, dtype=int)
-    cells, sub, ksup = first[todo], coef[:, todo], ksup[todo]
+    cells, ksup = first[todo], ksup[todo]
+    # C order, so that each constant of f is one contiguous row: indexing
+    # the columns leaves them strided, and f's ufuncs then run 2-3x slower
+    sub = np.ascontiguousarray(coef[:, todo])
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        k_root = bisect(lambda k: _f_core(sub, k), ksup * _SCAN[cells],
+        k_root = bisect(lambda k: _f_core(sub[:, None], k),
+                        ksup * _SCAN[cells],
                         ksup * _SCAN[cells + crossing[todo]])
         polished = _polish_roots(
             SystemParams(**{f.name: getattr(stack, f.name)[todo]
@@ -776,7 +830,8 @@ def _slope_structure(params, name):
                      2.0 / b)
                * _powp((2.0 - b) / (2.0 - a), (2.0 - b) / b))
     measured = float(np.min(finite_difference_lprime(params)[1]))
-    if abs(measured - closed) > 1e-6 * abs(closed):
+    # written so that a nan grid minimum fails it too
+    if not abs(measured - closed) <= 1e-6 * abs(closed):
         raise NumericalError(
             f"grid minimum of {name} disagrees with the closed form",
             constraint="slope-min", value=(closed, measured))
@@ -788,7 +843,10 @@ def finite_difference_lprime(params: SystemParams):
     ksup = k_sup(params)
     ks = np.linspace(ksup * 1e-6, ksup * (1.0 - 1e-6), SLOPE_GRID_POINTS)
     lv = curve_l_of_k(params, ks)
-    return ks, np.gradient(lv, ks)
+    # a grid spacing that underflows to 0 gives nan or inf slopes, not a
+    # warning; `_slope_structure` refuses them
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return ks, np.gradient(lv, ks)
 
 
 # ---------------------------------------------------------------------------

@@ -438,6 +438,111 @@ def test_bisect_matches_scipy_bit_for_bit(xtol, rtol):
                                            grid[c + 1], xtol=xtol, rtol=rtol)
 
 
+def _scipy_steps(f, a, b, xtol, rtol):
+    """SciPy's bisect loop in Python floats, with its 100-step cap and none
+    of its argument checks, so that xtol = rtol = 0 runs to the cap."""
+    fa, xa, dm = f(a), a, b - a
+    for _ in range(100):
+        dm *= 0.5
+        xm = xa + dm
+        fm = f(xm)
+        if fm * fa >= 0.0:
+            xa = xm
+        if fm == 0.0 or abs(dm) < xtol + rtol * abs(xm):
+            return xm
+    return xa
+
+
+def _counted(f):
+    """f, and the list of the lengths of the leading axis of its calls: 1
+    for f(a), then 2^m - 1 for each tree of depth m."""
+    nodes = []
+
+    def g(x):
+        nodes.append(x.shape[0])
+        return f(x)
+    return g, nodes
+
+
+def _steps(f, a, b, xtol, rtol):
+    """How many steps `_scipy_steps` takes on the bracket [a, b]."""
+    calls = [0]
+
+    def g(x):
+        calls[0] += 1
+        return f(x)
+    _scipy_steps(g, a, b, xtol, rtol)
+    return calls[0] - 1
+
+
+@pytest.mark.parametrize("xtol, rtol", [(BISECT_XTOL, BISECT_RTOL),
+                                        (5e-324, BISECT_RTOL), (0.0, 0.0)])
+def test_bisect_tree_matches_scipy_at_every_depth(xtol, rtol):
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(31)
+    depths = set()
+    for count in (1, 2, 3, 5, 9, 17, 40, 100, 1000):
+        scale = 10.0 ** rng.uniform(-6.0, 6.0, count)
+        a = scale * rng.uniform(0.1, 1.0, count)
+        b = a + scale * rng.uniform(1e-3, 2.0, count)
+        r = a + (b - a) * rng.uniform(0.0, 1.0, count)
+        # an exact zero of f at level 3 of [0, 1], and an a == b bracket
+        a[0], b[0], r[0] = 0.0, 1.0, 0.375
+        if count > 1:
+            b[1] = a[1]
+        f, nodes = _counted(lambda x: (x - r) * (1.0 + x * x))
+        roots = bisect(f, a, b, xtol, rtol)
+        assert roots[0] == 0.375
+        refs = []
+        for i in range(count):
+            g = lambda x, i=i: (x - r[i]) * (1.0 + x * x)
+            if a[i] == b[i]:
+                ref = a[i]
+            elif xtol > 0.0:
+                ref = optimize.bisect(g, a[i], b[i], xtol=xtol, rtol=rtol)
+            else:  # SciPy refuses xtol = 0; every bracket runs to the cap
+                ref = _scipy_steps(g, a[i], b[i], xtol, rtol)
+            assert roots[i] == ref
+            refs.append(_steps(g, a[i], b[i], xtol, rtol))
+        # one tree per call after f(a), each of one depth but the last at
+        # the 100-step cap, until the bracket that steps longest stops
+        m = int(nodes[1] + 1).bit_length() - 1
+        assert nodes[0] == 1 and set(nodes[1:-1]) <= {nodes[1]}
+        assert len(nodes) == -(-max(refs) // m) + 1
+        depths.add(m)
+    assert depths == set(range(1, max(depths) + 1)) and max(depths) >= 6
+
+
+def test_bisect_halves_a_subnormal_width_as_scipy_does():
+    optimize = pytest.importorskip("scipy.optimize")
+    tiny = 5e-324  # 2^-1074, the spacing of the subnormals
+    a = 2.0 ** -1060 + tiny * np.arange(300.0)
+    b = a + tiny * np.arange(3.0, 303.0)
+    r = a + 0.37 * (b - a)
+    # a width that halving thrice rounds otherwise than scaling by 2^-3
+    assert tiny * 11 * 0.5 * 0.5 * 0.5 != tiny * 11 * 2.0 ** -3
+    refs = [optimize.bisect(lambda x: -1.0 if x < r[i] else 1.0, a[i], b[i],
+                            xtol=5e-324, rtol=BISECT_RTOL) for i in range(300)]
+    # each bracket alone, the nine from width 11 on, and all 300: three
+    # depths of tree
+    for part in [slice(i, i + 1) for i in range(300)] + [slice(8, 17),
+                                                         slice(0, 300)]:
+        roots = bisect(lambda x: np.where(x < r[part], -1.0, 1.0),
+                       a[part], b[part], 5e-324, BISECT_RTOL)
+        assert roots.tolist() == refs[part]
+
+
+def test_bisect_calls_f_once_per_tree():
+    # [1, 2] at xtol 1e-9 stops at |dm| = 2^-30, after 30 steps
+    g = lambda x: x - math.pi / 2.0
+    f, nodes = _counted(g)
+    assert bisect(f, 1.0, 2.0, 1e-9, BISECT_RTOL) == _scipy_steps(
+        g, 1.0, 2.0, 1e-9, BISECT_RTOL)
+    assert _steps(g, 1.0, 2.0, 1e-9, BISECT_RTOL) == 30
+    m = int(max(nodes) + 1).bit_length() - 1
+    assert m >= 6 and len(nodes) <= -(-30 // m) + 1
+
+
 def test_batch_equals_point_by_point_over_the_box(monkeypatch):
     rng = np.random.default_rng(29)
     points = []
@@ -780,6 +885,17 @@ def test_diagnostics_refuses_a_grid_minimum_off_the_closed_form():
     assert (err.value.code, err.value.constraint) == ("numerical", "slope-min")
     closed, measured = err.value.value
     assert abs(measured - closed) > 1e-6 * abs(closed)
+
+
+def test_diagnostics_refuses_a_nan_grid_minimum():
+    # l_sup is about 2e-194, so the mirror curve's grid spacing underflows
+    # to 0 and np.gradient's slopes are nan; the refusal leaks no warning
+    p = make_params(7, 0.05059279113408672, 1.0186122161427855,
+                    0.20235004603499301, 693.8931503495608, 93.66638101772159)
+    with pytest.raises(NumericalError) as err:
+        curve_diagnostics(p)
+    assert err.value.constraint == "slope-min"
+    assert math.isnan(err.value.value[1])
 
 
 def test_slope_fd_matches_analytic():
