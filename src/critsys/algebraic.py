@@ -62,8 +62,6 @@ _DAMPING_FLOOR = 1e-6
 _POLISH_STEPS = 12
 #: Newton steps of each continuation corrector
 _CORRECTOR_STEPS = 25
-#: points of the uniform grid on which curve_diagnostics checks each slope
-SLOPE_GRID_POINTS = 10_000
 #: roundoff allowance of check_domination in c + d >= k0 + l0
 DOMINATION_SLACK = 1e-9
 #: most samples of check_domination, so that a sample array is at most 80 MB
@@ -117,22 +115,21 @@ class CouplingSolution:
 
 @dataclass(frozen=True)
 class CurveDiagnostics:
-    """Slope structure of the constraint curves in the 1 < alpha, beta < 2 regime.
+    """Slope structure of the constraint curves in the 1 < alpha, beta < 2
+    regime, each field a closed form.
 
     ``k_sign_change`` is where l'(k) turns negative, ``k_inflection`` where
-    l''(k) = 0 (the slope minimum), ``lprime_min`` the closed-form minimal
-    slope; the ``grid`` fields are finite-difference cross-checks.  The
-    primed fields describe the mirror curve k(l).
+    l''(k) = 0 (the slope minimum), and ``lprime_min`` the minimal slope
+    l'(k_inflection).  The ``l_`` and ``kprime_`` fields describe the mirror
+    curve k(l).
     """
 
     k_sign_change: float
     k_inflection: float
     lprime_min: float
-    lprime_min_grid: float
     l_sign_change: float
     l_inflection: float
     kprime_min: float
-    kprime_min_grid: float
 
 
 def k_sup(params: SystemParams) -> float:
@@ -763,11 +760,11 @@ def solve_ratio_reduction(params: SystemParams,
 
     g = lambda x: ratio_f1(params, x) - ratio_f2(params, x)
     lo, hi = 1e-4, 1e4
-    while g(lo) <= 0.0 and lo > 1e-12:
+    while (g_lo := g(lo)) <= 0.0 and lo > 1e-12:
         lo *= 0.1
-    while g(hi) >= 0.0 and hi < 1e12:
+    while (g_hi := g(hi)) >= 0.0 and hi < 1e12:
         hi *= 10.0
-    if not (g(lo) > 0.0 > g(hi)):
+    if not (g_lo > 0.0 > g_hi):
         raise NoSignChangeError("f1 - f2 shows no sign change on the scan range",
                                 constraint="bracket", value=(lo, hi))
     x0 = bisect(g, lo, hi, xtol=1e-12, rtol=1e-12)
@@ -800,11 +797,8 @@ def curve_lprime(params: SystemParams, k):
 
 
 def curve_diagnostics(params: SystemParams) -> CurveDiagnostics:
-    """Closed-form slope structure of both curves plus grid validation.
-
-    The finite-difference minimum of each slope must agree with the closed
-    form within 1e-6 relative; otherwise a `NumericalError` is raised.
-    """
+    """Closed-form slope structure of both curves; a field beyond the float
+    range is a `NumericalError` on ``overflow``."""
     _require_positive_gamma(params)
     a, b, ts = params.alpha, params.beta, params.two_star
     if ts >= 4.0:
@@ -820,33 +814,20 @@ def curve_diagnostics(params: SystemParams) -> CurveDiagnostics:
 
 
 def _slope_structure(params, name):
-    """Sign change, inflection point and closed-form minimum of l'(k), and
-    the grid minimum, which must agree with it within 1e-6 relative."""
+    """Sign change, inflection point and minimum of l'(k), in closed form."""
     a, b, ts = params.alpha, params.beta, params.two_star
     e = 2.0 / (ts - 2.0)
-    sign = _powp((2.0 - a) / (params.mu1 * b), e)
-    infl = _powp(2.0 * (2.0 - a) / (params.mu1 * b * (4.0 - ts)), e)
-    closed = -(_powp(ts * (ts - 2.0) * params.mu1 / (2.0 * a * params.gamma),
-                     2.0 / b)
-               * _powp((2.0 - b) / (2.0 - a), (2.0 - b) / b))
-    measured = float(np.min(finite_difference_lprime(params)[1]))
-    # written so that a nan grid minimum fails it too
-    if not abs(measured - closed) <= 1e-6 * abs(closed):
-        raise NumericalError(
-            f"grid minimum of {name} disagrees with the closed form",
-            constraint="slope-min", value=(closed, measured))
-    return sign, infl, closed, measured
-
-
-def finite_difference_lprime(params: SystemParams):
-    """Central finite differences of l(k) on a uniform interior grid."""
-    ksup = k_sup(params)
-    ks = np.linspace(ksup * 1e-6, ksup * (1.0 - 1e-6), SLOPE_GRID_POINTS)
-    lv = curve_l_of_k(params, ks)
-    # a grid spacing that underflows to 0 gives nan or inf slopes, not a
-    # warning; `_slope_structure` refuses them
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return ks, np.gradient(lv, ks)
+    with np.errstate(over="ignore"):
+        sign = _powp((2.0 - a) / (params.mu1 * b), e)
+        infl = _powp(2.0 * (2.0 - a) / (params.mu1 * b * (4.0 - ts)), e)
+        closed = -(_powp(ts * (ts - 2.0) * params.mu1
+                         / (2.0 * a * params.gamma), 2.0 / b)
+                   * _powp((2.0 - b) / (2.0 - a), (2.0 - b) / b))
+    if not all(map(math.isfinite, (sign, infl, closed))):
+        raise NumericalError(f"slope structure of {name} leaves the float "
+                             "range", constraint="overflow",
+                             value=(sign, infl, closed))
+    return sign, infl, closed
 
 
 # ---------------------------------------------------------------------------

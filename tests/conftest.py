@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from critsys.algebraic import find_k0_l0_batch
+from critsys.algebraic import curve_l_of_k, find_k0_l0_batch, k_sup
 from critsys.errors import DomainError
 from critsys.params import make_params
 from critsys.regimes import ATTAINED, classify
@@ -152,6 +152,16 @@ def _ulps(x: float, k: int) -> float:
     for _ in range(abs(k)):
         x = math.nextafter(x, math.copysign(math.inf, k))
     return x
+
+
+def fd_lprime(params, center):
+    """np.gradient's slopes of l(k) on a geometric grid of 40 001 k from
+    center/10 to 10 center, cut below k_sup.  Neighbours differ by 1.2e-4
+    relative wherever the grid sits, so it resolves a slope minimum at
+    ``center`` however close to 0 that lies."""
+    ks = center * np.geomspace(0.1, 10.0, 40_001)
+    ks = ks[ks < k_sup(params) * (1.0 - 1e-6)]
+    return ks, np.gradient(curve_l_of_k(params, ks), ks)
 
 
 def symmetric_threshold(ts: float, mu: float) -> float:

@@ -10,8 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from critsys.algebraic import (check_domination, curve_diagnostics,
-                               find_k0_l0, finite_difference_lprime)
+from critsys.algebraic import check_domination, curve_diagnostics, find_k0_l0
 from critsys.asymptotics import (OverlapQuadrature, contraction_ball,
                                  continuation_branch, energy_gap_vs_R,
                                  solve_tR_sR)
@@ -24,6 +23,8 @@ from critsys.params import make_params
 from critsys.regimes import (gamma_threshold_A, gamma_threshold_B,
                              least_energy)
 from critsys.spectral import pde_residual_single, pde_residual_system
+
+from conftest import fd_lprime
 
 
 def _report(num, detail):
@@ -109,7 +110,7 @@ def test_criterion_4_slope_bound():
     p = make_params(3, 0.5, 1.5, 1.0, 1.0, 1.0)  # exactly at the threshold
     diag = curve_diagnostics(p)
     assert abs(diag.lprime_min - (-1.0)) <= 1e-10
-    _, fd = finite_difference_lprime(p)
+    _, fd = fd_lprime(p, diag.k_inflection)
     assert np.min(fd) >= -1.0 - 1e-6
 
     # negative control: below the threshold the slope dips under -1.
@@ -117,9 +118,9 @@ def test_criterion_4_slope_bound():
     # scales as (1/gamma)^(2/beta): gamma = 2 gives -2^(-4/3) > -1, and the
     # quoted control value -2^(4/3) belongs to gamma = 0.5; see the ledger)
     p_low = p.replace_gamma(0.5)
-    assert curve_diagnostics(p_low).lprime_min \
-        == pytest.approx(-2.0 ** (4.0 / 3.0), rel=1e-12)
-    _, fd_low = finite_difference_lprime(p_low)
+    diag_low = curve_diagnostics(p_low)
+    assert diag_low.lprime_min == pytest.approx(-2.0 ** (4.0 / 3.0), rel=1e-12)
+    _, fd_low = fd_lprime(p_low, diag_low.k_inflection)
     assert np.min(fd_low) < -1.0
     # documenting the scaling that forces this reading:
     p_high = p.replace_gamma(2.0)

@@ -1,6 +1,6 @@
 import math
 from collections import Counter
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -12,18 +12,17 @@ from critsys.algebraic import (BISECT_RTOL, BISECT_XTOL, DOMINATION_CAP,
                                check_domination, curve_diagnostics,
                                curve_k_of_l, curve_l_of_k, curve_lprime,
                                eval_F1, eval_F2, eval_f, find_k0_l0,
-                               find_k0_l0_batch, finite_difference_lprime,
-                               gamma_gradient, jacobian, k_sup, l_sup,
-                               newton_polish, ratio_f1, ratio_f2,
-                               solve_ratio_reduction)
+                               find_k0_l0_batch, gamma_gradient, jacobian,
+                               k_sup, l_sup, newton_polish, ratio_f1,
+                               ratio_f2, solve_ratio_reduction)
 from critsys.errors import (CounterexampleError, CritsysError, DomainError,
                             MonotonicityViolationError, NoSignChangeError,
                             NumericalError)
 from critsys.params import make_params
-from critsys.regimes import gamma_threshold_A, gamma_threshold_B
+from critsys.regimes import ATTAINED_B, gamma_threshold_A, gamma_threshold_B
 
-from conftest import (case_edge_draws, concave_regime_params, rng_params,
-                      symmetric_threshold, whole_box_params)
+from conftest import (case_edge_draws, concave_regime_params, fd_lprime,
+                      rng_params, symmetric_threshold, whole_box_params)
 
 
 def symmetric_root(ts, mu, gamma):
@@ -770,6 +769,21 @@ def test_ratio_asymmetric_mass_shift():
     assert sol.l == pytest.approx(ref.l, abs=1e-8)
 
 
+def test_ratio_reduction_evaluates_each_bracket_end_once(monkeypatch):
+    # P_A's bracket [1e-4, 1e4] needs no widening: f1 sees each end once,
+    # bisect's f(a) sees lo again, and the root once more for y0
+    scalars = []
+
+    def counted(params, x, ratio_f1=ratio_f1):
+        if np.size(x) == 1:
+            scalars.append(float(np.ravel(x)[0]))
+        return ratio_f1(params, x)
+
+    monkeypatch.setattr(algebraic, "ratio_f1", counted)
+    solve_ratio_reduction(P_A)
+    assert len(scalars) == 4 and scalars[:3] == [1e-4, 1e4, 1e-4]
+
+
 def test_ratio_monotonicity_guard():
     # far above the coupling bound the scalar pieces stop being monotone
     p = P_A.replace_gamma(80.0)
@@ -835,25 +849,46 @@ def test_ratio_monotone_for_asymmetric_exponents():
 # ---------------------------------------------------------------------------
 # curve diagnostics
 
+def _central_slope(params, k):
+    """Central difference of l(k) at k, step 1e-5 k."""
+    h = 1e-5 * k
+    return (curve_l_of_k(params, k + h)
+            - curve_l_of_k(params, k - h)) / (2.0 * h)
+
+
+def _assert_slope_minima(params, d):
+    """Each half of ``d`` against its curve: the central difference at the
+    inflection matches the minimal slope within 1e-7 relative (at most
+    8.2e-9 over the 7266 halves of the first 4000 whole-box draws of seed
+    11, a margin of 12), and the analytic slope 0.1% to either side lies
+    above it."""
+    for q, infl, least in ((params, d.k_inflection, d.lprime_min),
+                           (params.mirrored(), d.l_inflection, d.kprime_min)):
+        assert abs(_central_slope(q, infl) - least) <= 1e-7 * abs(least)
+        assert np.all(curve_lprime(q, infl * np.array([0.999, 1.001])) > least)
+
+
 def test_diagnostics_threshold_slope():
     d = curve_diagnostics(P_B)
     assert d.lprime_min == pytest.approx(-1.0, abs=1e-10)
     assert d.kprime_min == pytest.approx(-1.0, abs=1e-10)
     assert d.k_inflection == pytest.approx(4.0 / 9.0, rel=1e-12)
     assert d.k_sign_change == pytest.approx(1.0 / 9.0, rel=1e-12)
-    assert d.lprime_min_grid >= -1.0 - 1e-6
+    assert _central_slope(P_B, d.k_inflection) >= -1.0 - 1e-6
 
 
 def test_diagnostics_below_threshold_slope():
-    d = curve_diagnostics(P_B.replace_gamma(0.5))
+    p = P_B.replace_gamma(0.5)
+    d = curve_diagnostics(p)
     assert d.lprime_min == pytest.approx(-2.0 ** (4.0 / 3.0), rel=1e-12)
-    assert d.lprime_min_grid < -1.0
+    assert _central_slope(p, d.k_inflection) < -1.0
 
 
 def test_diagnostics_above_threshold_slope():
-    d = curve_diagnostics(P_B.replace_gamma(2.0))
+    p = P_B.replace_gamma(2.0)
+    d = curve_diagnostics(p)
     assert d.lprime_min == pytest.approx(-2.0 ** (-4.0 / 3.0), rel=1e-12)
-    assert d.lprime_min_grid > -1.0
+    assert _central_slope(p, d.k_inflection) > -1.0
 
 
 def test_diagnostics_gamma_scaling_law():
@@ -877,29 +912,44 @@ def test_diagnostics_rejects_wide_power():
         curve_diagnostics(P_A)  # 2* = 10 >= 4
 
 
-def test_diagnostics_refuses_a_grid_minimum_off_the_closed_form():
-    # alpha = 1.95, beta = 1.05: the slope minimum is too sharp for the
-    # 10 000-point grid, which misses it by 1.4e-5 relative
-    with pytest.raises(NumericalError) as err:
-        curve_diagnostics(make_params(3, 0.5, 1.95, 1.0, 1.0, 1.0))
-    assert (err.value.code, err.value.constraint) == ("numerical", "slope-min")
-    closed, measured = err.value.value
-    assert abs(measured - closed) > 1e-6 * abs(closed)
+@pytest.mark.parametrize("p", [
+    # alpha = 1.95, beta = 1.05: the slope minimum sits at 0.0091 k_sup
+    make_params(3, 0.5, 1.95, 1.0, 1.0, 1.0),
+    # l_sup is about 2e-194
+    make_params(7, 0.05059279113408672, 1.0186122161427855,
+                0.20235004603499301, 693.8931503495608, 93.66638101772159),
+], ids=["sharp-minimum", "tiny-l_sup"])
+def test_diagnostics_match_the_curves_at_the_inflection(p):
+    _assert_slope_minima(p, curve_diagnostics(p))
 
 
-def test_diagnostics_refuses_a_nan_grid_minimum():
-    # l_sup is about 2e-194, so the mirror curve's grid spacing underflows
-    # to 0 and np.gradient's slopes are nan; the refusal leaks no warning
-    p = make_params(7, 0.05059279113408672, 1.0186122161427855,
-                    0.20235004603499301, 693.8931503495608, 93.66638101772159)
+def test_diagnostics_over_the_box(attained_whole_box):
+    # a leaked warning fails this under the suite's error::RuntimeWarning
+    points = [p for p, label, _ in attained_whole_box if label == ATTAINED_B]
+    assert len(points) >= 906
+    for p in points:
+        try:
+            d = curve_diagnostics(p)
+        except NumericalError as err:
+            assert err.constraint == "overflow"
+            continue
+        assert all(map(math.isfinite, astuple(d)))
+        _assert_slope_minima(p, d)
+
+
+def test_diagnostics_overflow_is_a_numerical_error():
+    # the 2098th case-B point of the seed-11 whole-box draws: l_sup is
+    # beyond the float range, and so is the mirror curve's slope structure
+    p = make_params(5, 0.021700407287512144, 1.0109377681556764,
+                    11.626963466164957, 0.0014043925807705124,
+                    991.2183061421916)
     with pytest.raises(NumericalError) as err:
         curve_diagnostics(p)
-    assert err.value.constraint == "slope-min"
-    assert math.isnan(err.value.value[1])
+    assert (err.value.code, err.value.constraint) == ("numerical", "overflow")
 
 
 def test_slope_fd_matches_analytic():
-    ks, fd = finite_difference_lprime(P_B)
+    ks, fd = fd_lprime(P_B, curve_diagnostics(P_B).k_inflection)
     an = curve_lprime(P_B, ks)
     ksup = k_sup(P_B)
     win = (ks >= 0.1 * ksup) & (ks <= 0.9 * ksup)
@@ -908,7 +958,7 @@ def test_slope_fd_matches_analytic():
 
 
 def test_grid_slope_minimum_bound_at_threshold():
-    _, fd = finite_difference_lprime(P_B)
+    _, fd = fd_lprime(P_B, curve_diagnostics(P_B).k_inflection)
     assert np.min(fd) >= -1.0 - 1e-6
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from critsys import regimes
-from critsys.algebraic import CouplingSolution, find_k0_l0
+from critsys.algebraic import CouplingSolution, find_k0_l0, find_k0_l0_batch
 from critsys.errors import (DomainError, NumericalError,
                             RegimeMismatchError)
 from critsys.params import SystemParams, make_params
@@ -363,3 +363,18 @@ def test_ordering_splits_the_attained_cases_over_the_box(attained_whole_box):
             ordering[label].append(energy_ordering_check(p, sol.k, sol.l))
     assert len(ordering[ATTAINED_A]) >= 94 and all(ordering[ATTAINED_A])
     assert len(ordering[ATTAINED_B]) >= 326 and not any(ordering[ATTAINED_B])
+
+
+def test_least_energy_falls_with_gamma(attained_whole_box):
+    # F1 and F2 rise with gamma at every k, l > 0, so the set where both are
+    # nonnegative grows with gamma, and its least k + l cannot rise
+    solved = [(p, label, sol) for p, label, sol in attained_whole_box
+              if isinstance(sol, CouplingSolution)]
+    raised = find_k0_l0_batch([p.replace_gamma(1.01 * p.gamma)
+                               for p, _, _ in solved])
+    falls = {ATTAINED_A: [], ATTAINED_B: []}
+    for (_, label, sol), up in zip(solved, raised):
+        if isinstance(up, CouplingSolution):
+            falls[label].append(up.k + up.l < sol.k + sol.l)
+    assert len(falls[ATTAINED_A]) >= 94 and all(falls[ATTAINED_A])
+    assert len(falls[ATTAINED_B]) >= 326 and all(falls[ATTAINED_B])
