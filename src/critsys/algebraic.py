@@ -746,24 +746,27 @@ def solve_ratio_reduction(params: SystemParams,
             constraint="regime",
             value=(params.n, params.s, params.alpha, params.beta))
 
-    xs = np.geomspace(1e-4, 1e4, 1000)
-    f1v = ratio_f1(params, xs)
-    f2v = ratio_f2(params, xs)
-    if not np.all(np.diff(f1v) < 0.0):
-        raise MonotonicityViolationError(
-            "sampled f1 is not strictly decreasing; coupling bound violated",
-            constraint="f1 decreasing", value=params.gamma)
-    if not np.all(np.diff(f2v) > 0.0):
-        raise MonotonicityViolationError(
-            "sampled f2 is not strictly increasing; coupling bound violated",
-            constraint="f2 increasing", value=params.gamma)
+    # where the coupling bound fails, f1 and f2 can leave the float range
+    # on the scan; the checks below turn that into a structured error
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        xs = np.geomspace(1e-4, 1e4, 1000)
+        f1v = ratio_f1(params, xs)
+        f2v = ratio_f2(params, xs)
+        if not np.all(np.diff(f1v) < 0.0):
+            raise MonotonicityViolationError(
+                "sampled f1 is not strictly decreasing; coupling bound "
+                "violated", constraint="f1 decreasing", value=params.gamma)
+        if not np.all(np.diff(f2v) > 0.0):
+            raise MonotonicityViolationError(
+                "sampled f2 is not strictly increasing; coupling bound "
+                "violated", constraint="f2 increasing", value=params.gamma)
 
-    g = lambda x: ratio_f1(params, x) - ratio_f2(params, x)
-    lo, hi = 1e-4, 1e4
-    while (g_lo := g(lo)) <= 0.0 and lo > 1e-12:
-        lo *= 0.1
-    while (g_hi := g(hi)) >= 0.0 and hi < 1e12:
-        hi *= 10.0
+        g = lambda x: ratio_f1(params, x) - ratio_f2(params, x)
+        lo, hi = 1e-4, 1e4
+        while (g_lo := g(lo)) <= 0.0 and lo > 1e-12:
+            lo *= 0.1
+        while (g_hi := g(hi)) >= 0.0 and hi < 1e12:
+            hi *= 10.0
     if not (g_lo > 0.0 > g_hi):
         raise NoSignChangeError("f1 - f2 shows no sign change on the scan range",
                                 constraint="bracket", value=(lo, hi))

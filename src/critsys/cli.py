@@ -26,7 +26,8 @@ import numpy as np
 
 from . import algebraic, asymptotics, bubbles, regimes, spectral
 from .errors import CritsysError, DomainError, NumericalError
-from .params import PARAM_KEYS, SystemParams, make_params, params_from_dict
+from .params import (PARAM_KEYS, SystemParams, _check_finite_real,
+                     make_params, params_from_dict)
 
 USAGE_EXIT = 64
 SWEEP_CAP = 10 ** 6
@@ -50,11 +51,11 @@ def _fmt(value) -> str:
 
 
 def _csv(columns, rows) -> str:
-    """CSV text: the header line, then one line of `_fmt` values per row;
-    a field holding a comma, a quote or a line break is quoted (RFC 4180)."""
+    """CSV text: the header line, then one line per row of text fields; a
+    field holding a comma, a quote or a line break is quoted (RFC 4180)."""
     text = io.StringIO()
-    csv.writer(text, lineterminator="\n").writerows(itertools.chain(
-        [columns], ([_fmt(v) for v in row] for row in rows)))
+    csv.writer(text, lineterminator="\n").writerows(
+        itertools.chain([columns], rows))
     return text.getvalue()[:-1]  # `_emit` ends the text
 
 
@@ -220,7 +221,8 @@ _parser = functools.cache(build_parser)
 
 
 # ---------------------------------------------------------------------------
-# command handlers: each returns a JSON payload or CSV (columns, rows)
+# command handlers: each returns a JSON payload or CSV (columns, rows of
+# `_fmt` text)
 
 def _cmd_classify(args):
     p = _resolve_params(args)
@@ -327,41 +329,87 @@ def _cmd_continue(args):
                           constraint="step", value=args.step) from None
     path = asymptotics.continuation_branch(p, gamma_max=args.gamma_max,
                                            step=step, tol=args.tol)
-    return CONTINUE_COLUMNS, [(row.gamma, row.k, row.l, row.k + row.l,
-                               row.ordering_ok) for row in path.samples]
+    return CONTINUE_COLUMNS, [
+        [_fmt(v) for v in (row.gamma, row.k, row.l, row.k + row.l,
+                           row.ordering_ok)] for row in path.samples]
 
 
-def _sweep_rows(points, tol):
-    """Sweep rows in grid order, lists in `SWEEP_COLUMNS` order.  A valid
-    point is classified once; the attained ones are solved in one batch, a
-    row's dimensionless_A being its k0 + l0.  A failing point records its
-    error instead of a value."""
-    rows, attained = [], []
-    for point in points:
+def _gamma_free(point):
+    """What a sweep point's fields other than gamma decide, worked out once
+    with gamma 0: the validated params (None where they fail), the text of
+    n, s, alpha, beta, mu1 and mu2, the `regimes.Thresholds` and the
+    NEGATIVE_GAMMA (value, error) cells."""
+    try:
+        base = params_from_dict({**point, "gamma": 0.0})
+    except CritsysError:
+        return None, None, None, None
+    try:
+        negative = (_fmt(regimes.negative_gamma_energy(base)), "")
+    except CritsysError as exc:
+        negative = ("", f"{exc.code}: {exc}")
+    head = [_fmt(v) for v in _record(base).values()][:-1]  # gamma is last
+    return base, head, regimes.thresholds(base), negative
+
+
+def _point_gamma(valid, gamma, point):
+    """The point's gamma as a float.  Where its gamma-free fields are not
+    ``valid`` or gamma fails the one check `make_params` makes of it, the
+    whole ``point()`` goes through `params_from_dict`, which raises the
+    error, in the order of its checks, that the point alone raises."""
+    if valid:
         try:
-            p = params_from_dict(point)
+            _check_finite_real("gamma", gamma)
+            return float(gamma)
+        except DomainError:
+            pass
+    return params_from_dict(point()).gamma
+
+
+def _sweep_rows(fixed, axes, tol):
+    """Sweep rows in grid order, lists of text in `SWEEP_COLUMNS` order.
+
+    The points at one index on every axis but gamma share their gamma-free
+    tuple (n, s, alpha, mu1, mu2 and any beta), which is validated,
+    thresholded and formatted once, with its NEGATIVE_GAMMA value; keys are
+    grid indices, so values that compare equal (1, 1.0, true) stay apart.
+    Each point checks and formats its gamma and takes its label.  The
+    attained points are solved in one batch, a row's dimensionless_A being
+    its k0 + l0.  A failing point records its error instead of a value.
+    """
+    names, values = list(axes), list(axes.values())
+    g = names.index("gamma") if "gamma" in axes else None
+    shared, rows, attained = {}, [], []
+    for idx in itertools.product(*(range(len(vals)) for vals in values)):
+        def point(idx=idx):
+            return {**fixed, **{name: vals[i] for name, vals, i
+                                in zip(names, values, idx)}}
+        key = idx if g is None else idx[:g] + idx[g + 1:]
+        if key not in shared:
+            shared[key] = _gamma_free(point())
+        base, head, thresholds, negative = shared[key]
+        try:
+            gamma = _point_gamma(base is not None,
+                                 fixed.get("gamma") if g is None
+                                 else values[g][idx[g]], point)
         except CritsysError as exc:
-            fields = dict(point, beta="")
-            rows.append([fields.get(name, "")
+            fields = dict(point(), beta="")
+            rows.append([_fmt(fields.get(name, ""))
                          for name in _field_names(SystemParams)]
                         + ["INVALID", "", f"{exc.code}: {exc}"])
             continue
-        label, value, error = regimes.classify(p).label, "", ""
-        if label == regimes.NEGATIVE_GAMMA:
-            try:
-                value = regimes.least_energy(p).dimensionless_A
-            except CritsysError as exc:
-                error = f"{exc.code}: {exc}"
-        elif label in regimes.ATTAINED:
-            attained.append((len(rows), p))
-        rows.append([*_record(p).values(), label, value, error])
+        label = thresholds.label(gamma)
+        value, error = negative if label == regimes.NEGATIVE_GAMMA \
+            else ("", "")
+        if label in regimes.ATTAINED:
+            attained.append((len(rows), base.replace_gamma(gamma)))
+        rows.append([*head, _fmt(gamma), label, value, error])
 
     solutions = algebraic.find_k0_l0_batch([p for _, p in attained], tol=tol)
     for (i, _), sol in zip(attained, solutions):
         if isinstance(sol, CritsysError):
             rows[i][-1] = f"{sol.code}: {sol}"
         else:
-            rows[i][-2] = sol.k + sol.l
+            rows[i][-2] = _fmt(sol.k + sol.l)
     return rows
 
 
@@ -374,16 +422,11 @@ def _cmd_sweep(args):
         raise DomainError('the grid needs "axes", an object of lists, and '
                           '"fixed", an object', constraint="grid",
                           value=args.grid)
-    axis_names = list(axes)
-    axis_values = [axes[name] for name in axis_names]
-    total = math.prod(max(len(vals), 1) for vals in axis_values)
+    total = math.prod(max(len(vals), 1) for vals in axes.values())
     if total > SWEEP_CAP:
         raise DomainError(f"grid has {total} points, above the cap {SWEEP_CAP}",
                           constraint="grid size", value=total)
-
-    points = ({**fixed, **dict(zip(axis_names, combo))}
-              for combo in itertools.product(*axis_values))
-    return SWEEP_COLUMNS, _sweep_rows(points, args.tol)
+    return SWEEP_COLUMNS, _sweep_rows(fixed, axes, args.tol)
 
 
 def main(argv=None) -> int:

@@ -109,34 +109,56 @@ def case_of(params: SystemParams) -> str | None:
     return None
 
 
-def classify(params: SystemParams) -> Regime:
-    """Total classification of valid parameters into the five labels.
+@dataclass(frozen=True)
+class Thresholds:
+    """The gamma-free part of a classification: the case of the existence
+    theorem and its coupling threshold, which depend on n, s, alpha, beta,
+    mu1 and mu2 alone."""
 
-    Boundary conventions follow the theorem statements exactly: the A
-    threshold is inclusive from below (0 < gamma <= thr_A), the B threshold
-    inclusive from above (gamma >= thr_B).  gamma = 0 is UNCOVERED (the
-    decoupled system is only a continuation base point).
-    """
+    case: str | None
+    gamma_A: float | None
+    gamma_B: float | None
+
+    def label(self, gamma: float) -> str:
+        """The regime label at coupling ``gamma``.
+
+        Boundary conventions follow the theorem statements exactly: the A
+        threshold is inclusive from below (0 < gamma <= thr_A), the B
+        threshold inclusive from above (gamma >= thr_B).  gamma = 0 is
+        UNCOVERED (the decoupled system is only a continuation base point).
+        """
+        if gamma < 0.0:
+            return NEGATIVE_GAMMA
+        if gamma == 0.0:
+            return UNCOVERED
+        if self.case == "A" and gamma <= self.gamma_A:
+            return ATTAINED_A
+        if self.case == "B":
+            return ATTAINED_B if gamma >= self.gamma_B \
+                else SMALL_GAMMA_CANDIDATE
+        return UNCOVERED
+
+
+def thresholds(params: SystemParams) -> Thresholds:
+    """The case of ``params`` and its threshold; gamma is not read."""
     case = case_of(params)
-    thr_a = gamma_threshold_A(params) if case == "A" else None
-    thr_b = gamma_threshold_B(params) if case == "B" else None
-    notes: list[str] = []
-    if case == "A":
-        notes.append("alpha, beta > 2 forces 2s < n < 4s (strict upper window)")
+    return Thresholds(
+        case=case,
+        gamma_A=gamma_threshold_A(params) if case == "A" else None,
+        gamma_B=gamma_threshold_B(params) if case == "B" else None)
 
-    if params.gamma < 0.0:
-        label = NEGATIVE_GAMMA
-    elif params.gamma == 0.0:
-        label = UNCOVERED
+
+def classify(params: SystemParams) -> Regime:
+    """Total classification of valid parameters into the five labels, by
+    `Thresholds.label` at ``params.gamma``."""
+    th = thresholds(params)
+    notes: list[str] = []
+    if th.case == "A":
+        notes.append("alpha, beta > 2 forces 2s < n < 4s (strict upper window)")
+    if params.gamma == 0.0:
         notes.append("gamma = 0 is the decoupled continuation base point")
-    elif case == "A" and params.gamma <= thr_a:
-        label = ATTAINED_A
-    elif case == "B":
-        label = ATTAINED_B if params.gamma >= thr_b else SMALL_GAMMA_CANDIDATE
-    else:
-        label = UNCOVERED
-    return Regime(label=label, gamma_threshold_A=thr_a,
-                  gamma_threshold_B=thr_b, notes=tuple(notes))
+    return Regime(label=th.label(params.gamma), gamma_threshold_A=th.gamma_A,
+                  gamma_threshold_B=th.gamma_B, notes=tuple(notes))
 
 
 def least_energy(params: SystemParams,
@@ -144,16 +166,15 @@ def least_energy(params: SystemParams,
                  S_s: float | None = None) -> EnergyReport:
     """Least-energy value in the regimes where it is established.
 
-    gamma < 0 is NEGATIVE_GAMMA, `classify`'s first rule, and needs no
-    classification: the dimensionless value is mu1^(-(n-2s)/2s) +
-    mu2^(-(n-2s)/2s) and the minimum is not attained.  In the attained
+    gamma < 0 is NEGATIVE_GAMMA, the first rule of `Thresholds.label`, and
+    needs no classification: the dimensionless value is
+    `negative_gamma_energy` and the minimum is not attained.  In the attained
     regimes it is k0 + l0 and requires a solved coupling pair.
     ``absolute_A`` = (s/n) * dimensionless_A * S_s^(n/2s) is filled when
     the sharp constant is supplied.
     """
     if params.gamma < 0.0:
-        e1, e2 = _single_mode_levels(params)
-        dimless = e1 + e2
+        dimless = negative_gamma_energy(params)
         coeffs = None
     elif (label := classify(params).label) in ATTAINED:
         if solution is None:
@@ -176,6 +197,14 @@ def least_energy(params: SystemParams,
         absolute = (params.s / params.n) * dimless * scale
     return EnergyReport(dimensionless_A=dimless, absolute_A=absolute,
                         attained=coeffs is not None, minimizer_coeffs=coeffs)
+
+
+def negative_gamma_energy(params: SystemParams) -> float:
+    """mu1^(-(n-2s)/2s) + mu2^(-(n-2s)/2s), the dimensionless least energy
+    at every gamma < 0; gamma is not read.  A level beyond the float range
+    is a `NumericalError`."""
+    e1, e2 = _single_mode_levels(params)
+    return e1 + e2
 
 
 def energy_ordering_check(params: SystemParams, k: float, l: float) -> bool:

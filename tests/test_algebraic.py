@@ -791,6 +791,16 @@ def test_ratio_monotonicity_guard():
         solve_ratio_reduction(p)
 
 
+def test_ratio_monotonicity_guard_leaks_no_warning():
+    # f1 overflows on the scan; under the RuntimeWarning error filter a
+    # leaked numpy warning would raise before the structured error
+    p = make_params(1, 0.49361213501014756, 148.3087934864975,
+                    127.55213319599761, 1.6179277375244951,
+                    0.0008853894056100049)
+    with pytest.raises(MonotonicityViolationError):
+        solve_ratio_reduction(p)
+
+
 def test_ratio_rejects_wrong_regime():
     with pytest.raises(DomainError):
         solve_ratio_reduction(P_B)

@@ -1,21 +1,26 @@
 import argparse
 import csv
+import dataclasses
 import hashlib
+import io
+import itertools
 import json
 import math
 import os
 import runpy
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from critsys import cli, regimes
-from critsys.algebraic import eval_F1, eval_F2
+from critsys.algebraic import eval_F1, eval_F2, find_k0_l0
 from critsys.cli import dumps17, main
-from critsys.params import make_params
+from critsys.errors import CritsysError
+from critsys.params import SystemParams, make_params, params_from_dict
 from critsys.spectral import load_field
 
 DATA = Path(__file__).parent / "data"
@@ -860,20 +865,84 @@ def test_sweep_quotes_a_field_holding_a_comma(tmp_path, capsys, axes, fixed,
 
 
 def test_sweep_classifies_each_point_once(tmp_path, monkeypatch, capsys):
-    # the 610 points of scripts/run_phase_diagram.py: an attained row takes
-    # k0 + l0 from the batch solution and a NEGATIVE_GAMMA row its value
-    # from least_energy, neither classifying again
-    calls, classify = [], regimes.classify
+    # the 610 points of scripts/run_phase_diagram.py: the gamma-free part of
+    # the classification runs once per alpha and each point takes one
+    # label; an attained row takes k0 + l0 from the batch solution and a
+    # NEGATIVE_GAMMA row its value from its alpha's tuple
+    tuples, labels = [], []
+    thresholds, label = regimes.thresholds, regimes.Thresholds.label
 
-    def counted(params):
-        calls.append(params)
-        return classify(params)
+    def counted_thresholds(params):
+        tuples.append(params.alpha)
+        return thresholds(params)
 
-    monkeypatch.setattr(regimes, "classify", counted)
+    def counted_label(self, gamma):
+        labels.append(gamma)
+        return label(self, gamma)
+
+    monkeypatch.setattr(regimes, "thresholds", counted_thresholds)
+    monkeypatch.setattr(regimes.Thresholds, "label", counted_label)
     script = runpy.run_path(str(Path(__file__).parents[1] / "scripts"
                                 / "run_phase_diagram.py"))
     script["run"](str(tmp_path / "phase.csv"))
-    assert len(calls) == 610
+    assert tuples == [round(1.1 + 0.08 * i, 10) for i in range(10)]
+    assert len(labels) == 610 and set(Counter(labels).values()) == {10}
+
+
+def _reference_sweep(grid):
+    """The sweep CSV built point by point from the library's public calls,
+    with the CLI's formatting."""
+    names = list(grid["axes"])
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(cli.SWEEP_COLUMNS)
+    for combo in itertools.product(*grid["axes"].values()):
+        point = {**grid["fixed"], **dict(zip(names, combo))}
+        try:
+            p = params_from_dict(point)
+        except CritsysError as exc:
+            fields = dict(point, beta="")
+            cells = [*(fields.get(f.name, "")
+                       for f in dataclasses.fields(SystemParams)),
+                     "INVALID", "", f"{exc.code}: {exc}"]
+        else:
+            label, value, error = regimes.classify(p).label, "", ""
+            if label == regimes.NEGATIVE_GAMMA or label in regimes.ATTAINED:
+                try:
+                    sol = find_k0_l0(p) if label in regimes.ATTAINED else None
+                    value = regimes.least_energy(p, sol).dimensionless_A
+                except CritsysError as exc:
+                    error = f"{exc.code}: {exc}"
+            cells = [*dataclasses.astuple(p), label, value, error]
+        writer.writerow([cli._fmt(cell) for cell in cells])
+    return text.getvalue()
+
+
+_POINT = {"n": 3, "s": 0.5, "alpha": 1.5, "mu1": 1.0, "mu2": 1.0}
+_MU2S = [1, 1.0, True, -0.0, [1.5]]
+
+
+@pytest.mark.parametrize("grid", [
+    {"axes": {"alpha": [1.5, 1.2],
+              "gamma": [-0.0, 0.0, False, "x", None, 2, 1.7e308, -1, 0.5],
+              "mu2": _MU2S}, "fixed": _POINT},
+    {"axes": {"mu2": _MU2S, "alpha": [1.5, 1.2]},
+     "fixed": {**_POINT, "gamma": 2}},
+    {"axes": {"mu2": _MU2S, "s": [0.5, 1.5]}, "fixed": _POINT},
+    {"axes": {"beta": [1.5, 1.7, "x"], "gamma": [-1, 2, False]},
+     "fixed": _POINT},
+], ids=["gamma-axis", "gamma-fixed", "no-gamma", "supplied-beta"])
+def test_sweep_equals_a_point_by_point_reference(tmp_path, capsys, grid):
+    # the gamma-free fields are validated, thresholded and formatted once
+    # per grid index; values that compare equal (1, 1.0, true; -0.0, 0.0)
+    # keep their own rows, and every INVALID row names the error the point
+    # alone gives
+    grid_path = tmp_path / "grid.json"
+    grid_path.write_text(json.dumps(grid))
+    code, out, err = run_main(capsys, "sweep", "--grid", str(grid_path))
+    assert code == 0 and err == ""
+    with np.errstate(all="ignore"):  # as `main` runs the sweep
+        assert out == _reference_sweep(grid)
 
 
 def test_sweep_cap(tmp_path, capsys):
