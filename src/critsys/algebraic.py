@@ -148,9 +148,7 @@ def _decoupled_pair(params):
     with np.errstate(over="ignore"):
         k0, l0 = k_sup(params), l_sup(params)
     if not (0.0 < k0 < math.inf and 0.0 < l0 < math.inf):
-        raise NumericalError("decoupled pair leaves the float range",
-                             constraint="0 < k_sup, l_sup < inf",
-                             value=(k0, l0))
+        raise _refusal("0 < k_sup, l_sup < inf", (k0, l0))
     return k0, l0
 
 
@@ -466,34 +464,56 @@ def newton_polish(params: SystemParams, k: float, l: float, tol: float,
     return False, float(k), float(l)
 
 
+#: the refusals of `find_k0_l0`, error class and message by constraint, in
+#: the order of its checks: a point's error is the first check it fails
+_REFUSALS = {
+    "0 < k_sup, l_sup < inf": (NumericalError, "decoupled pair leaves the "
+                               "float range"),
+    "gamma >= 0": (DomainError, "no root finding for gamma < 0 (minimum "
+                   "not attained)"),
+    "gamma": (NumericalError, "alpha gamma or beta gamma overflows a float"),
+    "regime": (DomainError, "root finding needs n > 4s with 1 < alpha, "
+               "beta < 2, or 2s < n < 4s with alpha, beta > 2"),
+    "bracket": (NoSignChangeError, "scan found no sign change of f; "
+                "parameters outside the solvable hypotheses or grid too "
+                "coarse"),
+    "scan-floor": (NumericalError, "leftmost crossing is a sign fall; the "
+                   "minimal root lies below the scan floor (coupling too "
+                   "weak for this grid)"),
+    "l > 0": (NumericalError, "root collapsed onto the curve endpoint"),
+    "residual": (NumericalError, "residual tolerance not met after polish"),
+    "0 < k < k_sup, 0 < l < l_sup": (NumericalError,
+                                     "root left the admissible box"),
+    "minimal-k": (NumericalError, "f is positive left of the returned root; "
+                  "minimal-k selection failed"),
+}
+
+
+def _refusal(constraint, value):
+    """The error of the check on ``constraint`` that fails at ``value``."""
+    error, message = _REFUSALS[constraint]
+    return error(message, constraint=constraint, value=value)
+
+
 def _prescan(params):
-    """What is known of a point before its scan: the decoupled pair at
-    gamma = 0 (a `NumericalError` when it under- or overflows), the
-    `DomainError` for a point outside the solver's hypotheses, a
-    `NumericalError` where alpha gamma or beta gamma overflows, or, for a
-    point whose root the scan finds, whether it lies in case A, not B."""
+    """A point's outcome before its scan, or None if it has none yet: at
+    gamma = 0 the decoupled pair (a `NumericalError` when it under- or
+    overflows), else its first refusal on gamma >= 0, gamma or regime."""
     if params.gamma == 0.0:
         try:
             k0, l0 = _decoupled_pair(params)
         except NumericalError as exc:
             return exc
         res1, res2 = (abs(float(f)) for f in _residuals(params, k0, l0))
-        return CouplingSolution(k=k0, l=l0, res1=res1, res2=res2,
-                                method="decoupled")
+        return CouplingSolution(k0, l0, res1, res2, "decoupled")
     if params.gamma < 0.0:
-        return DomainError("no root finding for gamma < 0 (minimum not "
-                           "attained)", constraint="gamma >= 0",
-                           value=params.gamma)
+        return _refusal("gamma >= 0", params.gamma)
     if not max(params.alpha, params.beta) * params.gamma < math.inf:
-        return NumericalError("alpha gamma or beta gamma overflows a float",
-                              constraint="gamma", value=params.gamma)
-    case = regimes.case_of(params)
-    if case is None:
-        return DomainError(
-            "root finding needs n > 4s with 1 < alpha, beta < 2, or "
-            "2s < n < 4s with alpha, beta > 2", constraint="regime",
-            value=(params.n, params.s, params.alpha, params.beta))
-    return case == "A"
+        return _refusal("gamma", params.gamma)
+    if regimes.case_of(params) is None:
+        return _refusal("regime",
+                        (params.n, params.s, params.alpha, params.beta))
+    return None
 
 
 def find_k0_l0(params: SystemParams, tol: float = RESIDUAL_TOL) -> CouplingSolution:
@@ -521,58 +541,75 @@ def find_k0_l0_batch(points, tol: float = RESIDUAL_TOL) -> list:
     """
     check_tol(tol)
     points = list(points)
-    results = []
-    for start in range(0, len(points), _BATCH):
-        results += _solve_batch(points[start:start + _BATCH], tol)
-    return results
+    return [r for start in range(0, len(points), _BATCH)
+            for r in _solve_batch(points[start:start + _BATCH], tol)]
 
 
 def _solve_batch(points, tol) -> list:
-    """`find_k0_l0_batch` for at most ``_BATCH`` points."""
-    results = [_prescan(p) for p in points]
-    scan = [i for i, r in enumerate(results) if isinstance(r, bool)]
-    case_a = np.array([results[i] for i in scan], dtype=bool)
-    stack = _stack([points[i] for i in scan])
-    coef = _f_coefficients([points[i] for i in scan])
+    """`find_k0_l0_batch` for at most ``_BATCH`` points.
+
+    The points that `_prescan` leaves open meet the checks in the order of
+    `_REFUSALS`, all points of a check at once.  A check refuses only the
+    points that no earlier one refused, so each point's outcome is set
+    once: its first failed check, or the root that passed them all."""
+    before = [_prescan(p) for p in points]
+    scan = [p for p, r in zip(points, before) if r is None]
+    outcome = [None] * len(scan)
+
+    def settle(rows, results, constraint=None):
+        """Give each of ``rows`` its result (None leaves it open), or the
+        refusal on ``constraint`` at that value, unless it has one."""
+        for row, result in zip(rows, results):
+            if outcome[row] is None:
+                outcome[row] = (_refusal(constraint, result) if constraint
+                                else result)
+
+    stack, coef = _stack(scan), _f_coefficients(scan)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         ksup = k_sup(stack)
         found, first, f_first, ends = _scan(coef, ksup)
-    # a zero on the grid is the bracket [k, k], which bisect returns as is
-    crossing = (f_first != 0.0).astype(int)
-    todo = []
-    for row, i in enumerate(scan):
-        if not found[row]:
-            results[i] = NoSignChangeError(
-                "scan found no sign change of f; parameters outside the "
-                "solvable hypotheses or grid too coarse",
-                constraint="bracket", value=tuple(ends[row].tolist()))
-        elif crossing[row] and not case_a[row] and f_first[row] > 0.0:
-            # f must rise through its minimal root; a falling first crossing
-            # means the true minimal root sits below the scan floor
-            results[i] = NumericalError(
-                "leftmost crossing is a sign fall; the minimal root lies "
-                "below the scan floor (coupling too weak for this grid)",
-                constraint="scan-floor",
-                value=float(ksup[row] * _SCAN[first[row]]))
-        else:
-            todo.append(row)
+        settle(np.flatnonzero(~found), map(tuple, ends[~found].tolist()),
+               "bracket")
+        # every scanned point is in case A or B, and only B has alpha < 2.
+        # There f must rise through its minimal root, so a falling first
+        # crossing puts that root below the scan floor.  A zero on the grid
+        # is the bracket [k, k], which bisect returns as is
+        case_b, crossing = stack.alpha < 2.0, f_first != 0.0
+        fall = np.flatnonzero(crossing & case_b & (f_first > 0.0))
+        settle(fall, (ksup[fall] * _SCAN[first[fall]]).tolist(), "scan-floor")
 
-    todo = np.array(todo, dtype=int)
-    cells, ksup = first[todo], ksup[todo]
-    # C order, so that each constant of f is one contiguous row: indexing
-    # the columns leaves them strided, and f's ufuncs then run 2-3x slower
-    sub = np.ascontiguousarray(coef[:, todo])
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        k_root = bisect(lambda k: _f_core(sub[:, None], k),
-                        ksup * _SCAN[cells],
-                        ksup * _SCAN[cells + crossing[todo]])
-        polished = _polish_roots(
-            SystemParams(**{f.name: getattr(stack, f.name)[todo]
-                            for f in fields(SystemParams)}),
-            k_root, tol, ksup, sub, case_a[todo])
-    for row, result in zip(todo.tolist(), polished):
-        results[scan[row]] = result
-    return results
+        todo = np.flatnonzero([r is None for r in outcome])
+        cells, ksup = first[todo], ksup[todo]
+        # C order, so that each constant of f is one contiguous row: indexing
+        # the columns leaves them strided, and f's ufuncs then run 2-3x slower
+        sub = np.ascontiguousarray(coef[:, todo])
+        k = bisect(lambda k: _f_core(sub[:, None], k), ksup * _SCAN[cells],
+                   ksup * _SCAN[cells + crossing[todo]])
+        tail = SystemParams(*(v[todo] for v in vars(stack).values()))
+        l = _curve(tail, k)
+        settle(todo[l <= 0.0], l[l <= 0.0].tolist(), "l > 0")
+        k, l, res1, res2, unmet = _polish(tail, k, l, tol)
+        settle(todo, unmet)
+        out = ~((0.0 < k) & (k < ksup) & (0.0 < l) & (l < l_sup(tail)))
+        settle(todo[out], zip(k[out].tolist(), l[out].tolist()),
+               "0 < k < k_sup, 0 < l < l_sup")
+
+        # in case B the reduction must stay negative left of the minimal
+        # root, checked on 256 points a root: twice _SCAN_ROWS roots at a
+        # time, whose temporaries are then the size of a scan block's
+        pending = np.array([outcome[r] is None for r in todo], bool)
+        rows = np.flatnonzero(pending & case_b[todo] & (k > 2e-8 * ksup))
+        for start in range(0, len(rows), 2 * _SCAN_ROWS):
+            block = rows[start:start + 2 * _SCAN_ROWS]
+            # C order, so that each row is one contiguous inner loop
+            left = np.ascontiguousarray(np.geomspace(
+                ksup[block] * 1e-8, k[block] * (1.0 - 1e-6), 256, axis=1))
+            bad = block[np.any(_f_core(sub[:, block, None], left) > 1e-10,
+                               axis=1)]
+            settle(todo[bad], k[bad].tolist(), "minimal-k")
+    settle(todo, map(CouplingSolution, k.tolist(), l.tolist(), res1, res2))
+    scanned = iter(outcome)
+    return [r if r is not None else next(scanned) for r in before]
 
 
 def _scan(coef, ksup):
@@ -600,54 +637,15 @@ def _scan(coef, ksup):
     return found, first, f_first, ends
 
 
-def _polish_roots(params, k, tol, ksup, coef, case_a) -> list:
-    """`find_k0_l0` at the bracketed roots k of a `_stack`, all at once, or
-    the error of the first check a root fails: curve endpoint, residuals,
-    admissible box, then minimal-k selection.  ``ksup`` and the columns
-    ``coef`` of `_f_coefficients` are the scan's."""
-    l_curve = _curve(params, k)
-    k, l, results = _certify(params, k, l_curve, tol, "bisection")
-    for i in np.flatnonzero(l_curve <= 0.0):
-        results[i] = NumericalError("root collapsed onto the curve endpoint",
-                                    constraint="l > 0",
-                                    value=float(l_curve[i]))
-    ok = np.array([isinstance(r, CouplingSolution) for r in results], bool)
-    in_box = (0.0 < k) & (k < ksup) & (0.0 < l) & (l < l_sup(params))
-    for i in np.flatnonzero(ok & ~in_box):
-        results[i] = NumericalError("root left the admissible box",
-                                    constraint="0 < k < k_sup, 0 < l < l_sup",
-                                    value=(results[i].k, results[i].l))
-
-    # in the convex-curve regime the reduction must stay negative left of
-    # the minimal root, checked on 256 points a root: twice _SCAN_ROWS
-    # roots at a time, whose temporaries are then the size of a scan block's
-    rows = np.flatnonzero(ok & in_box & ~case_a & (k > 2e-8 * ksup))
-    for start in range(0, len(rows), 2 * _SCAN_ROWS):
-        block = rows[start:start + 2 * _SCAN_ROWS]
-        # C order, so that each row is one contiguous inner loop
-        left = np.ascontiguousarray(np.geomspace(
-            ksup[block] * 1e-8, k[block] * (1.0 - 1e-6), 256, axis=1))
-        for i in block[np.any(_f_core(coef[:, block, None], left) > 1e-10,
-                              axis=1)]:
-            results[i] = NumericalError(
-                "f is positive left of the returned root; minimal-k "
-                "selection failed", constraint="minimal-k",
-                value=results[i].k)
-    return results
-
-
-def _certify(params, k, l, tol, method):
-    """Polish each (k, l) with Newton to 0.05 tol and certify both residuals
-    within tol: the polished k and l, and per point its `CouplingSolution`
-    or the residual `NumericalError`."""
+def _polish(params, k, l, tol):
+    """Newton from each (k, l) to 0.05 tol: the polished k and l, their
+    residuals |F1| and |F2| as lists, and per point the "residual" refusal
+    where these do not both meet tol, else None."""
     k, l, _ = _newton(params, k, l, 0.05 * tol)
     res1, res2 = (np.abs(f).tolist() for f in _residuals(params, k, l))
-    return k, l, [
-        NumericalError("residual tolerance not met after polish",
-                       constraint="residual", value=max(r1, r2))
-        if r1 > tol or r2 > tol else
-        CouplingSolution(k=k0, l=l0, res1=r1, res2=r2, method=method)
-        for k0, l0, r1, r2 in zip(k.tolist(), l.tolist(), res1, res2)]
+    return k, l, res1, res2, [
+        _refusal("residual", max(r1, r2)) if r1 > tol or r2 > tol else None
+        for r1, r2 in zip(res1, res2)]
 
 
 def _newton(params, k, l, tol, max_iter=_POLISH_STEPS):
@@ -774,11 +772,11 @@ def solve_ratio_reduction(params: SystemParams,
 
     r = 0.5 * (params.two_star - 2.0)
     y0 = _powp(ratio_f1(params, x0), 1.0 / r)
-    (result,) = _certify(params, [x0 * y0 / (1.0 + x0)], [y0 / (1.0 + x0)],
-                         tol, "ratio")[2]
-    if isinstance(result, CritsysError):
-        raise result
-    return result
+    k, l, res1, res2, (unmet,) = _polish(params, [x0 * y0 / (1.0 + x0)],
+                                         [y0 / (1.0 + x0)], tol)
+    if unmet:
+        raise unmet
+    return CouplingSolution(k.item(), l.item(), res1[0], res2[0], "ratio")
 
 
 # ---------------------------------------------------------------------------

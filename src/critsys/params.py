@@ -8,7 +8,7 @@ rounding of 2* - alpha.  All values are immutable after construction.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -49,11 +49,12 @@ class SystemParams:
     def mirrored(self) -> "SystemParams":
         """The system with its components swapped: alpha <-> beta, mu1 <->
         mu2.  beta is not derived again, which could move it by an ulp."""
-        return replace(self, alpha=self.beta, beta=self.alpha,
-                       mu1=self.mu2, mu2=self.mu1)
+        return SystemParams(self.n, self.s, self.beta, self.alpha, self.mu2,
+                            self.mu1, self.gamma)
 
     def replace_gamma(self, gamma: float) -> "SystemParams":
-        return replace(self, gamma=float(gamma))
+        return SystemParams(self.n, self.s, self.alpha, self.beta, self.mu1,
+                            self.mu2, float(gamma))
 
 
 #: keys of the CLI's JSON parameter object: every field but the derived beta

@@ -705,23 +705,25 @@ def test_batched_tail_failure_at_one_point_stops_only_it(monkeypatch, name,
 @pytest.mark.parametrize("gamma, f_max", [(0.7, 0.0251),
                                           (0.77651772, 5.5e-8)],
                          ids=["tall", "grazing"])
-def test_tail_refuses_a_root_with_f_positive_to_its_left(gamma, f_max):
+def test_tail_refuses_a_root_with_f_positive_to_its_left(monkeypatch,
+                                                        gamma, f_max):
     # f has three roots, near 0.252, 0.484 and 0.9999 at gamma = 0.7 and
     # near 0.391, 0.407 and 0.99965 at 0.77651772; the largest, handed to
     # the tail, passes the residual and box checks but not the minimal-k
     # check.  At the second gamma the positive stretch between the first
     # two roots is so low that its largest value on the check's 256-point
-    # grid lies between the 1e-10 threshold and 1e-6.
+    # grid lies between the 1e-10 threshold and 1e-6.  The bisection is
+    # replaced by one that returns the largest root.
     p = make_params(3, 0.5, 1.18, 1.0, 0.8, gamma)
     ksup = k_sup(p)
     k = bisect(lambda x: eval_f(p, x), 0.999 * ksup, ksup * (1.0 - 1e-12))
-    coef = algebraic._f_coefficients([p])
-    (result,) = algebraic._polish_roots(
-        algebraic._stack([p]), np.array([k]), algebraic.RESIDUAL_TOL,
-        np.array([ksup]), coef, np.array([False]))
-    assert isinstance(result, NumericalError)
+    monkeypatch.setattr(algebraic, "bisect", lambda f, a, b: np.array([k]))
+    with pytest.raises(NumericalError) as err:
+        find_k0_l0(p)
+    result = err.value
     assert result.constraint == "minimal-k"
     assert result.value == pytest.approx(k, rel=1e-9)
+    coef = algebraic._f_coefficients([p])
     left = np.geomspace(ksup * 1e-8, result.value * (1.0 - 1e-6), 256)
     assert algebraic._f_core(coef, left).max() == \
         pytest.approx(f_max, rel=0.01)
@@ -945,6 +947,18 @@ def test_diagnostics_over_the_box(attained_whole_box):
             continue
         assert all(map(math.isfinite, astuple(d)))
         _assert_slope_minima(p, d)
+
+
+def test_solve_outcomes_over_the_box(attained_whole_box):
+    # what the solver answers on the fixture's 1000 draws, by label and
+    # outcome; a change that solves more points moves these on purpose
+    outcomes = Counter(
+        (label, "solved" if isinstance(sol, CouplingSolution)
+         else sol.constraint) for _, label, sol in attained_whole_box)
+    assert outcomes == {("ATTAINED_A", "solved"): 94,
+                        ("ATTAINED_B", "solved"): 326,
+                        ("ATTAINED_B", "bracket"): 579,
+                        ("ATTAINED_B", "residual"): 1}
 
 
 def test_diagnostics_overflow_is_a_numerical_error():

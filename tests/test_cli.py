@@ -142,6 +142,40 @@ def test_numerical_error_exit_code(tmp_path, capsys):
     assert json.loads(err)["error"] == "monotonicity-violation"
 
 
+@pytest.mark.parametrize("point, code, error, message, constraint, value", [
+    ({"gamma": -1}, 1, "domain",
+     "no root finding for gamma < 0 (minimum not attained)", "gamma >= 0",
+     -1),
+    ({"gamma": 1.7e308}, 2, "numerical",
+     "alpha gamma or beta gamma overflows a float", "gamma", 1.7e308),
+    ({"n": 1, "s": 0.3, "gamma": 1}, 1, "domain",
+     "root finding needs n > 4s with 1 < alpha, beta < 2, or 2s < n < 4s "
+     "with alpha, beta > 2", "regime", [1, 0.3, 1.5, 3.5]),
+    ({"n": 6, "s": 0.02, "alpha": 1.005, "mu1": 1e3, "gamma": 0}, 2,
+     "numerical", "decoupled pair leaves the float range",
+     "0 < k_sup, l_sup < inf", [0, 1]),
+    ({"gamma": 1e-8}, 2, "numerical",
+     "leftmost crossing is a sign fall; the minimal root lies below the "
+     "scan floor (coupling too weak for this grid)", "scan-floor",
+     0.9645937035307941),
+    ({"gamma": 1e308}, 2, "no-sign-change",
+     "scan found no sign change of f; parameters outside the solvable "
+     "hypotheses or grid too coarse", "bracket", [5e307, 5e307]),
+], ids=["gamma-negative", "gamma-overflow", "regime", "decoupled-range",
+        "scan-floor", "bracket"])
+def test_solve_refusals_keep_their_json(capsys, point, code, error, message,
+                                        constraint, value):
+    # n 3, s 0.5, alpha 1.5, mu 1, 1 unless the point says otherwise
+    base = {"n": 3, "s": 0.5, "alpha": 1.5, "mu1": 1, "mu2": 1, **point}
+    argv = [x for key, v in base.items() for x in (f"--{key}", str(v))]
+    got, out, err = run_main(capsys, "solve", *argv)
+    assert (got, out) == (code, "")
+    payload = json.loads(err)
+    assert (payload["error"], payload["message"], payload["constraint"]) == \
+        (error, message, constraint)
+    assert payload["value"] == pytest.approx(value, rel=1e-12)
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["solve", "--no-such-flag"]) == 64
     assert main(["not-a-command"]) == 64
